@@ -63,7 +63,7 @@ def test_budgeted_store_overhead(tmp_path):
         hits = _mix(budgeted, payloads)
         budget_t = min(budget_t, time.process_time() - start)
         assert hits == len(payloads) * 3
-        assert budgeted.counters["evictions"] == 0
+        assert budgeted.registry.counts()["store.results.evictions"] == 0
 
     ratio = budget_t / plain_t
     assert ratio <= 3.0, (

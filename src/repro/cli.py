@@ -518,7 +518,7 @@ def _report_sanitizer(session: TelemetrySession) -> int:
     """Summarise ``sanitizer.*`` counters after a --check run."""
     from repro.sanitizer import global_report
 
-    counters = session.counters
+    counters = session.registry.counts()
     runs = counters.get("sanitizer.runs", 0)
     total = counters.get("sanitizer.violations", 0)
     print(f"sanitizer: {runs} run(s) checked, {total} violation(s)")
@@ -773,10 +773,8 @@ def cmd_serve(argv: List[str]) -> int:
         print(f"repro serve: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 1
-    if not args.no_recover:
-        scheduler.recover()
+    recovered = 0 if args.no_recover else scheduler.recover()
     scheduler.start()
-    recovered = scheduler.counters["jobs_recovered"]
     print(f"repro serve: listening on http://{args.host}:{args.port} "
           f"({scheduler.executor.jobs} worker(s), queue limit "
           f"{args.queue_limit}, {recovered} job(s) recovered); "

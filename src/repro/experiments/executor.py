@@ -34,7 +34,8 @@ the parent merges into the active
 their results straight into the shared
 :class:`~repro.experiments.runner.ResultCache` (safe for concurrent
 writers) so a crashed suite still persists completed runs — re-running
-the same suite resumes from those entries.
+the same suite resumes from those entries. The counts of that write
+come back on every run too, so totals at ``jobs=N`` equal ``jobs=1``.
 
 Long-lived callers (the ``repro serve`` job server, notebooks) can
 construct the executor with ``persistent=True``: the process pool then
@@ -71,6 +72,7 @@ from repro.telemetry.session import (
     TelemetrySession,
     activate,
     active_session,
+    count,
     deactivate,
 )
 
@@ -99,7 +101,8 @@ def _worker_execute(spec: RunSpec, config, telemetry_opts: Optional[dict],
 
     Imports inside the function make sure a fresh worker registers the
     named runners before resolving them, and each worker gets its own
-    telemetry session (the parent merges the returned records).
+    telemetry session (the parent merges the returned records); the
+    cache write's counts come back separately, telemetry or not.
     ``attempt`` feeds the deterministic fault-injection plan.
     """
     import repro.experiments  # noqa: F401  (populate the runner registry)
@@ -113,17 +116,18 @@ def _worker_execute(spec: RunSpec, config, telemetry_opts: Optional[dict],
     finally:
         if session is not None:
             deactivate()
+    cache = ResultCache(config.cache_dir,
+                        budget_bytes=getattr(config, "cache_budget_bytes",
+                                             None))
     if is_valid_result(result):
-        ResultCache(config.cache_dir,
-                    budget_bytes=getattr(config, "cache_budget_bytes", None)
-                    ).put(spec_cache_key(spec, config), result)
+        cache.put(spec_cache_key(spec, config), result)
     runs: List[dict] = session.runs if session is not None else []
     trace_events: List[dict] = []
     if session is not None:
         for tracer in session._tracers:
             trace_events.extend(tracer.events)
-    counters: Dict[str, int] = dict(session.counters) if session else {}
-    return result, runs, trace_events, counters
+    counters = session.registry.counts() if session is not None else {}
+    return result, runs, trace_events, counters, cache.registry.counts()
 
 
 class ParallelExecutor:
@@ -136,7 +140,8 @@ class ParallelExecutor:
     ``degrade_serial`` fields) but can be overridden per executor; the
     :attr:`failures` list collects every
     :class:`~repro.experiments.resilience.FailedRun` recorded under
-    ``keep_going`` for the failure appendix.
+    ``keep_going`` for the failure appendix. :attr:`registry` (the
+    cache's) counts ``resilience.*``, ``cache.*`` and ``store.results.*``.
     """
 
     def __init__(self, config, jobs: Optional[int] = None,
@@ -168,7 +173,7 @@ class ParallelExecutor:
             degrade_serial if degrade_serial is not None
             else bool(getattr(config, "degrade_serial", False)))
         self.failures: List[FailedRun] = []
-        self.counters: Dict[str, int] = {}
+        self.registry = self.cache.registry
 
     # ------------------------------------------------------------------
     # Worker-count property: reconfiguring a live pool is an error
@@ -215,7 +220,7 @@ class ParallelExecutor:
                 except (OSError, AttributeError) as exc:
                     # A worker we cannot terminate may outlive the
                     # suite — say so instead of swallowing the error.
-                    self._count("resilience.terminate_errors")
+                    count(self.registry, "resilience.terminate_errors")
                     print(f"[executor] could not terminate worker "
                           f"{getattr(proc, 'pid', '?')}: {exc}",
                           file=sys.stderr)
@@ -383,8 +388,10 @@ class ParallelExecutor:
                                                   elapsed, results, config):
                             queue.append(spec)
                         continue
-                    _result, runs, trace_events, counters = payload
+                    _result, runs, trace_events, counters, cached = payload
                     results[spec] = result
+                    for name, n in cached.items():
+                        count(self.registry, name, n)
                     if session is not None:
                         session.ingest(runs, trace_events, counters)
                     self._record(spec, elapsed, cached=False,
@@ -435,12 +442,6 @@ class ParallelExecutor:
     # Failure bookkeeping
     # ------------------------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        session = active_session()
-        if session is not None:
-            session.incr(name, n)
-
     def _register_failure(self, spec: RunSpec, kind: str, attempt: int,
                           error: BaseException, seconds: float,
                           results: Dict[RunSpec, SimResult],
@@ -452,11 +453,11 @@ class ParallelExecutor:
         a :class:`FailedRun` (``keep_going``), or raises
         :class:`SuiteError` (fail-fast, the default).
         """
-        self._count(f"resilience.failures.{kind}")
+        count(self.registry, f"resilience.failures.{kind}")
         self._record(spec, seconds, cached=False, attempt=attempt,
                      status=kind)
         if attempt < self.policy.attempts_allowed:
-            self._count("resilience.retries")
+            count(self.registry, "resilience.retries")
             return True
         if (self.degrade_serial and kind != TIMEOUT
                 and self._attempt_degraded(spec, results, config)):
@@ -467,7 +468,7 @@ class ParallelExecutor:
             error=f"{type(error).__name__}: {error}")
         if not self.keep_going:
             raise SuiteError(failed)
-        self._count("resilience.failed_runs")
+        count(self.registry, "resilience.failed_runs")
         results[spec] = failed
         self.failures.append(failed)
         return False
@@ -489,7 +490,7 @@ class ParallelExecutor:
             # The degraded path is the last line of defence; its own
             # failure must be visible in counters and on stderr, not
             # silently folded into the original failure's record.
-            self._count("resilience.degraded_failures")
+            count(self.registry, "resilience.degraded_failures")
             print(f"[executor] degraded serial run for {spec.label} "
                   f"failed too: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
@@ -498,7 +499,7 @@ class ParallelExecutor:
             return False
         self.cache.put(spec_cache_key(spec, config), result)
         results[spec] = result
-        self._count("resilience.degraded_runs")
+        count(self.registry, "resilience.degraded_runs")
         self._record(spec, time.perf_counter() - start, cached=False,
                      status="degraded")
         return True

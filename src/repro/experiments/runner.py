@@ -24,7 +24,8 @@ from repro.experiments.specs import RunSpec, execute_spec, spec_cache_key
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
 from repro.store import ArtifactStore, key_digest, parse_size, quarantine_file
-from repro.telemetry.session import active_session
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.session import active_session, count
 from repro.workloads.profiles import benchmark_names
 
 DEFAULT_READS = 2000
@@ -140,6 +141,9 @@ class ResultCache:
     access journal, not mtime, orders them). An evicted entry reads as
     a clean miss and is recomputed byte-identically — parallel/serial/
     resume determinism guarantees survive eviction by construction.
+
+    Traffic counts as ``cache.<event>`` in :attr:`registry`, which is
+    the store tier's own when caching is on (``store.results.*`` too).
     """
 
     def __init__(self, directory: Optional[str],
@@ -150,21 +154,14 @@ class ResultCache:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.store = ArtifactStore(self.directory, tier="results",
                                        budget_bytes=budget_bytes)
-        # Per-instance traffic counters, exposed via stats(); the
-        # quarantine event is additionally mirrored into any active
-        # telemetry session (legacy cache.quarantined counter).
-        self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "writes": 0, "quarantined": 0}
-
-    def stats(self) -> Dict[str, object]:
-        """Traffic counters for this cache handle (hits/misses/writes/
-        quarantined), plus the directory they describe."""
-        return {"directory": str(self.directory) if self.directory else None,
-                **self.counters}
+        self.registry = (self.store.registry if self.store is not None
+                         else MetricsRegistry())
+        for event in ("hits", "misses", "writes", "quarantined"):
+            self.registry.counter(f"cache.{event}")
 
     def store_stats(self) -> Optional[Dict[str, object]]:
         """Underlying artifact-store tier stats (entries/bytes/budget/
-        evictions), or None for a disabled cache."""
+        pinned), or None for a disabled cache."""
         return self.store.stats() if self.store is not None else None
 
     def _path(self, key: str) -> Optional[Path]:
@@ -202,13 +199,15 @@ class ResultCache:
         served as a hit.
         """
         if self.store is None:
-            self.counters["misses"] += 1
+            count(self.registry, "cache.misses")
             return None
-        quarantined_before = self.store.counters["quarantined"]
+        quarantined = self.registry.counter(self.store.prefix + "quarantined")
+        quarantined_before = quarantined.value
         raw = self.store.get_bytes(key)
         if raw is None:
-            if self.store.counters["quarantined"] > quarantined_before:
-                return self._count_quarantine()
+            if quarantined.value > quarantined_before:
+                count(self.registry, "cache.quarantined")
+                return None
             return self._get_legacy(key)
         result = self._parse(key, raw)
         if result is None:
@@ -218,8 +217,9 @@ class ResultCache:
             if record is not None:
                 self.store._quarantine(self.store.blob_path(record["digest"]))
             self.store.delete(key)
-            return self._count_quarantine()
-        self.counters["hits"] += 1
+            count(self.registry, "cache.quarantined")
+            return None
+        count(self.registry, "cache.hits")
         return result
 
     def _parse(self, key: str, raw: bytes) -> Optional[SimResult]:
@@ -240,45 +240,41 @@ class ResultCache:
         """Resolve (and migrate) a pre-store flat-layout entry."""
         path = self._legacy_path(key)
         if path is None or not path.exists():
-            self.counters["misses"] += 1
+            count(self.registry, "cache.misses")
             return None
         try:
             raw = path.read_bytes()
         except OSError:
-            self.counters["misses"] += 1
+            count(self.registry, "cache.misses")
             return None
         try:
             data = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
             quarantine_file(path)
-            return self._count_quarantine()
+            count(self.registry, "cache.quarantined")
+            return None
         if not isinstance(data, dict):
             quarantine_file(path)
-            return self._count_quarantine()
+            count(self.registry, "cache.quarantined")
+            return None
         if data.get("__key__") != key:
-            self.counters["misses"] += 1  # digest collision: not ours
+            count(self.registry, "cache.misses")  # digest collision
             return None
         result = self._parse(key, raw)
         if result is None:
             quarantine_file(path)
-            return self._count_quarantine()
+            count(self.registry, "cache.quarantined")
+            return None
         # Migrate: same bytes, new home; the flat file retires.
         self.store.put_bytes(key, raw)
         path.unlink(missing_ok=True)
-        self.counters["hits"] += 1
+        count(self.registry, "cache.hits")
         return result
-
-    def _count_quarantine(self) -> None:
-        self.counters["quarantined"] += 1
-        session = active_session()
-        if session is not None:
-            session.incr("cache.quarantined")
-        return None
 
     def put(self, key: str, result: SimResult) -> None:
         if self.store is None:
             return
-        self.counters["writes"] += 1
+        count(self.registry, "cache.writes")
         data = dataclasses.asdict(result)
         data["__key__"] = key
         self.store.put_bytes(key, json.dumps(data).encode())

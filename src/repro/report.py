@@ -297,8 +297,8 @@ def main(argv=None) -> int:
         from repro.telemetry import run_manifest, tables_to_json
         json_keys = keys or list(ALL_EXPERIMENTS)
         # A second executor pass recalls everything the report pass just
-        # simulated, so its cache stats record hit/miss/quarantine
-        # traffic for exactly this artefact's runs.
+        # simulated, so its counters record the cache.*/store.results.*
+        # hit/miss/quarantine traffic for exactly this artefact's runs.
         executor = ParallelExecutor(config, jobs=args.jobs)
         results = executor.run(suite_specs(json_keys, config))
         tables = [ALL_EXPERIMENTS[k](config, results=results)
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
                     "benchmarks": list(config.suite()),
                     "jobs": args.jobs},
             seed=config.seed, argv=argv,
-            extra={"cache": executor.cache.stats(),
+            extra={"counters": executor.registry.counts(),
                    # Pin which workload *contents* produced these
                    # tables: the same tokens folded into v8 cache keys.
                    "workloads": {name: workload_cache_token(name)

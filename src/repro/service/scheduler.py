@@ -45,6 +45,8 @@ from repro.experiments.resilience import FailedRun, is_valid_result
 from repro.experiments.specs import RunSpec, spec_cache_key
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, Job
 from repro.service.store import JobStore
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.session import count
 
 DEFAULT_MAX_QUEUE = 32
 
@@ -80,13 +82,13 @@ class JobScheduler:
         self.executor = executor if executor is not None else ParallelExecutor(
             config, jobs=jobs, persistent=True, keep_going=True)
         self.max_queue = max_queue
-        self.started_unix = time.time()
-        self.counters: Dict[str, int] = {
-            "jobs_submitted": 0, "jobs_completed": 0, "jobs_failed": 0,
-            "jobs_rejected": 0, "jobs_recovered": 0,
-            "coalesced_specs": 0, "cached_specs": 0, "simulated_specs": 0,
-            "batches": 0,
-        }
+        # Monotonic: a wall-clock step must not skew (or negate) uptime.
+        self.started = time.monotonic()
+        self.registry = MetricsRegistry()
+        for name in ("jobs_submitted", "jobs_completed", "jobs_failed",
+                     "jobs_rejected", "jobs_recovered", "coalesced_specs",
+                     "cached_specs", "simulated_specs", "batches"):
+            self.registry.counter(f"service.{name}")
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -172,7 +174,7 @@ class JobScheduler:
     def _enqueue(self, job: Job, recovered: bool = False) -> None:
         with self._lock:
             if len(self._queue) >= self.max_queue and not recovered:
-                self.counters["jobs_rejected"] += 1
+                count(self.registry, "service.jobs_rejected")
                 # Rough service-time hint: one beat per queued job.
                 raise QueueFull(len(self._queue), self.max_queue,
                                 retry_after_s=max(1.0,
@@ -182,10 +184,11 @@ class JobScheduler:
                 if not entry.coalesced:
                     entry.cached = self.executor.cache.contains(entry.key)
                 self._wanted[entry.key] = self._wanted.get(entry.key, 0) + 1
-            self.counters["coalesced_specs"] += job.coalesced_specs
-            self.counters["cached_specs"] += job.cached_specs
-            self.counters["jobs_submitted" if not recovered
-                          else "jobs_recovered"] += 1
+            count(self.registry, "service.coalesced_specs",
+                  job.coalesced_specs)
+            count(self.registry, "service.cached_specs", job.cached_specs)
+            count(self.registry, "service.jobs_recovered" if recovered
+                  else "service.jobs_submitted")
             job.state = QUEUED
             self._jobs[job.id] = job
             self._queue.append(job.id)
@@ -230,47 +233,28 @@ class JobScheduler:
                 states[job.state] = states.get(job.state, 0) + 1
         return {
             "status": "draining" if self._stop.is_set() else "ok",
-            "uptime_s": round(time.time() - self.started_unix, 3),
+            "uptime_s": round(time.monotonic() - self.started, 3),
             "queue_depth": depth,
             "queue_limit": self.max_queue,
             "jobs": states,
         }
 
     def metrics(self) -> dict:
-        """Telemetry snapshot for ``GET /metrics``."""
-        health = self.health()
-        service = {f"service.{name}": value
-                   for name, value in sorted(self.counters.items())}
-        service.update(
-            {f"service.{name}": value
-             for name, value in sorted(
-                 getattr(self.store, "counters", {}).items())})
-        executor = {f"executor.{name}": value
-                    for name, value in sorted(self.executor.counters.items())}
-        cache_stats = self.executor.cache.stats()
-        cache = {f"cache.{name}": value
-                 for name, value in sorted(cache_stats.items())
-                 if name != "directory"}
-        # Artifact-store tiers (results CAS + manifest FileStore):
-        # entries/bytes/budget plus hit/miss/evict/quarantine counters,
-        # flattened as store.<tier>.<name>.
-        store: Dict[str, object] = {}
-        for tier_stats in (self.executor.cache.store_stats(),
-                           self.store.store_stats()):
-            if not tier_stats:
-                continue
-            tier = tier_stats["tier"]
-            store.update({f"store.{tier}.{name}": value
-                          for name, value in sorted(tier_stats.items())
-                          if name not in ("tier", "directory")})
-        return {
-            "uptime_s": health["uptime_s"],
-            "queue_depth": health["queue_depth"],
-            "queue_limit": health["queue_limit"],
-            "jobs": health["jobs"],
-            "workers": self.executor.jobs,
-            **service, **executor, **cache, **store,
-        }
+        """``GET /metrics``: health, the counters of every registry this
+        scheduler owns, and each store tier's on-disk gauges."""
+        out: Dict[str, object] = self.health()
+        del out["status"]
+        out["workers"] = self.executor.jobs
+        for registry in (self.registry, self.store.registry,
+                         self.executor.registry):
+            out.update(registry.counts())
+        for tier in (self.executor.cache.store_stats(),
+                     self.store.store_stats()):
+            if tier:
+                out.update({f"store.{tier['tier']}.{name}": tier[name]
+                            for name in ("entries", "bytes", "budget_bytes",
+                                         "pinned")})
+        return out
 
     # ------------------------------------------------------------------
     # Drain loop (scheduler thread)
@@ -330,14 +314,14 @@ class JobScheduler:
                 if entry.key not in seen:
                     seen.add(entry.key)
                     union.append(entry.spec)
-        self.counters["batches"] += 1
+        count(self.registry, "service.batches")
         timings_before = len(self.executor.timings)
         results = self.executor.run(union, config=config)
         simulated = sum(
             1 for t in self.executor.timings[timings_before:]
             if not t["cached"] and t["status"] in ("ok", "degraded"))
         with self._lock:
-            self.counters["simulated_specs"] += simulated
+            count(self.registry, "service.simulated_specs", simulated)
         for job in group:
             self._finish_job(job, config, results)
         self._post_batch_gc()
@@ -395,8 +379,8 @@ class JobScheduler:
         job.finished_unix = time.time()
         with self._lock:
             self._release(job)
-            self.counters["jobs_failed" if job.state == FAILED
-                          else "jobs_completed"] += 1
+            count(self.registry, "service.jobs_failed" if job.state == FAILED
+                  else "service.jobs_completed")
         self.store.save(job)
 
     def _fail_batch(self, group: List[Job], exc: Exception) -> None:
@@ -406,7 +390,7 @@ class JobScheduler:
             job.finished_unix = time.time()
             with self._lock:
                 self._release(job)
-                self.counters["jobs_failed"] += 1
+                count(self.registry, "service.jobs_failed")
             self.store.save(job)
 
     def _release(self, job: Job) -> None:

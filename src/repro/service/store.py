@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.service.jobs import TERMINAL_STATES, Job
 from repro.store import FileStore, atomic_write_bytes, quarantine_file
-from repro.telemetry.session import active_session
+from repro.telemetry.session import count
 
 DEFAULT_STATE_DIR = ".repro_jobs"
 
@@ -51,11 +51,13 @@ class JobStore:
                  budget_bytes: Optional[int] = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.counters: Dict[str, int] = {"manifests_quarantined": 0}
         self.file_store = FileStore(self.directory, "j-*.json",
                                     tier="manifests",
                                     budget_bytes=budget_bytes,
                                     pinned_check=_manifest_pinned)
+        # store.manifests.* plus load()'s service.manifests_quarantined.
+        self.registry = self.file_store.registry
+        self.registry.counter("service.manifests_quarantined")
 
     def _path(self, job_id: str) -> Path:
         # Job ids are generated server-side (j-<hex>), but manifests are
@@ -109,10 +111,7 @@ class JobStore:
         listings and recovery skip it naturally.
         """
         quarantine_file(path)
-        self.counters["manifests_quarantined"] += 1
-        session = active_session()
-        if session is not None:
-            session.incr("service.manifests_quarantined")
+        count(self.registry, "service.manifests_quarantined")
         return None
 
     def gc(self, max_bytes: Optional[int] = None,

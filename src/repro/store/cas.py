@@ -16,7 +16,8 @@ Two store flavours share the discipline:
     flat ``<digest>.json`` layout. Every ``get`` re-verifies the blob
     digest, so bit rot is caught (and quarantined) before a caller sees
     it. Reads don't rewrite files, so LRU state lives in an append-only
-    access-time ``journal.log`` (compacted by ``gc``).
+    access ``journal.log`` whose line order is the recency order
+    (compacted by ``gc``).
 
 :class:`FileStore` (the *checkpoints* and *manifests* tiers)
     wraps a directory of standalone content-validated files
@@ -28,10 +29,10 @@ Two store flavours share the discipline:
 Both enforce a per-tier byte budget with LRU eviction, skip *pinned*
 entries (a ``<name>.pin`` sibling carrying the owning pid — pins of
 dead processes expire automatically, so a crashed writer cannot strand
-disk), quarantine corruption as ``<file>.corrupt``, and mirror their
-``hits/misses/writes/evictions/quarantined`` counters into any active
-telemetry session as ``store.<tier>.<event>`` so they surface in
-``repro report --json`` manifests and the service ``/metrics``.
+disk), quarantine corruption as ``<file>.corrupt``, and count their
+traffic as ``store.<tier>.<event>`` through :func:`repro.telemetry.count`
+so it surfaces in ``repro report --json``, ``--stats-json`` manifests
+and the service ``/metrics``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from repro.store.atomic import (
     file_lock,
     quarantine_file,
 )
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.session import count
 
 #: Digest prefix length for key-addressed index files (matches the
 #: legacy ResultCache/checkpoint filename digests, so migrated entries
@@ -101,28 +104,22 @@ class StoreEntry:
     key: str              # cache key (CAS) or file name (FileStore)
     path: Path            # index file (CAS) or the entry file itself
     size: int             # bytes charged against the tier budget
-    last_access: float    # unix seconds (journal or mtime)
+    last_access: float    # LRU clock: journal line (CAS) or mtime
     pinned: bool = False
     digest: str = ""      # blob sha256 (CAS only)
 
 
 class _StoreBase:
-    """Counters + telemetry mirroring shared by both store flavours."""
+    """Traffic registry, pins and LRU eviction shared by both flavours."""
 
     def __init__(self, directory, tier: str) -> None:
         self.directory = Path(directory)
         self.tier = tier
-        self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "writes": 0, "evictions": 0,
-            "quarantined": 0, "pinned_skips": 0, "gc_runs": 0,
-        }
-
-    def _emit(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        from repro.telemetry.session import active_session
-        session = active_session()
-        if session is not None:
-            session.incr(f"store.{self.tier}.{name}", n)
+        self.prefix = f"store.{tier}."
+        self.registry = MetricsRegistry()
+        for event in ("hits", "misses", "writes", "evictions",
+                      "quarantined", "pinned_skips", "gc_runs"):
+            self.registry.counter(self.prefix + event)
 
     # -- pins ----------------------------------------------------------
 
@@ -160,12 +157,12 @@ class _StoreBase:
                 continue
             if entry.pinned:
                 report["pinned_kept"] += 1
-                self._emit("pinned_skips")
+                count(self.registry, self.prefix + "pinned_skips")
                 survivors.append(entry)
                 continue
             if not dry_run:
                 evict_entry(entry)
-                self._emit("evictions")
+                count(self.registry, self.prefix + "evictions")
             report["evicted"].append(entry.key)
             used -= entry.size
         report["bytes_after"] = used
@@ -180,7 +177,7 @@ class ArtifactStore(_StoreBase):
 
         index/<keydigest>.json   {"key", "digest", "size", "created_unix"}
         blobs/<aa>/<sha256>.blob payload bytes (shared across keys)
-        journal.log              "<unix> <keydigest>\\n" per access
+        journal.log              "<keydigest>\\n" per access, oldest first
         locks/<keydigest>.lock   advisory flock for writers of one key
 
     ``get_bytes`` verifies the payload digest on every read; an entry
@@ -218,30 +215,27 @@ class ArtifactStore(_StoreBase):
     # -- journal -------------------------------------------------------
 
     def _journal(self, digest_of_key: str) -> None:
-        """Append one access record; O_APPEND keeps writers atomic."""
-        line = f"{time.time():.3f} {digest_of_key}\n"
+        """Append one access record; O_APPEND keeps writers atomic.
+        Line order is access order, so no timestamp (and no ties)."""
         try:
             with open(self.journal_path, "a") as handle:
-                handle.write(line)
+                handle.write(f"{digest_of_key}\n")
         except OSError:  # pragma: no cover - read-only store
             pass
 
-    def _last_access_map(self) -> Dict[str, float]:
-        """Latest journaled access per key digest (malformed lines skip)."""
-        accesses: Dict[str, float] = {}
+    def _access_ranks(self) -> Dict[str, int]:
+        """Line number of each key digest's latest journaled access
+        (older ``"<unix> <keydigest>"`` lines rank by position too)."""
+        ranks: Dict[str, int] = {}
         try:
             with open(self.journal_path) as handle:
-                for line in handle:
+                for rank, line in enumerate(handle):
                     parts = line.split()
-                    if len(parts) != 2:
-                        continue
-                    try:
-                        accesses[parts[1]] = float(parts[0])
-                    except ValueError:
-                        continue
+                    if parts and len(parts) <= 2:
+                        ranks[parts[-1]] = rank
         except OSError:
             pass
-        return accesses
+        return ranks
 
     # -- core API ------------------------------------------------------
 
@@ -256,7 +250,7 @@ class ArtifactStore(_StoreBase):
         digest = hashlib.sha256(data).hexdigest()
         blob = self.blob_path(digest)
         if blob.exists():
-            self._emit("dedup_hits")
+            count(self.registry, self.prefix + "dedup_hits")
         else:
             atomic_write_bytes(blob, data, durable=self.durable)
         entry = {"key": key, "digest": digest, "size": len(data),
@@ -267,7 +261,7 @@ class ArtifactStore(_StoreBase):
                                json.dumps(entry).encode(),
                                durable=self.durable)
         self._journal(kd)
-        self._emit("writes")
+        count(self.registry, self.prefix + "writes")
         if pin:
             self.write_pin(self.index_path(key))
         if self.budget_bytes is not None:
@@ -315,22 +309,22 @@ class ArtifactStore(_StoreBase):
         """
         record = self._read_index(key)
         if record is None:
-            self._emit("misses")
+            count(self.registry, self.prefix + "misses")
             return None
         blob = self.blob_path(record["digest"])
         try:
             data = blob.read_bytes()
         except OSError:
             self.index_path(key).unlink(missing_ok=True)  # stale index
-            self._emit("misses")
+            count(self.registry, self.prefix + "misses")
             return None
         if hashlib.sha256(data).hexdigest() != record["digest"]:
             self._quarantine(blob)
             self.index_path(key).unlink(missing_ok=True)
-            self._emit("misses")
+            count(self.registry, self.prefix + "misses")
             return None
         self._journal(key_digest(key))
-        self._emit("hits")
+        count(self.registry, self.prefix + "hits")
         return data
 
     def contains(self, key: str) -> bool:
@@ -351,13 +345,13 @@ class ArtifactStore(_StoreBase):
 
     def _quarantine(self, path: Path) -> None:
         if quarantine_file(path) is not None:
-            self._emit("quarantined")
+            count(self.registry, self.prefix + "quarantined")
 
     # -- scanning / gc -------------------------------------------------
 
     def entries(self) -> List[StoreEntry]:
         out: List[StoreEntry] = []
-        accesses = self._last_access_map()
+        ranks = self._access_ranks()
         for path in sorted(self.index_dir.glob("*.json")):
             try:
                 record = json.loads(path.read_text())
@@ -371,9 +365,8 @@ class ArtifactStore(_StoreBase):
                 key=record.get("key", path.stem),
                 path=path,
                 size=int(record.get("size", 0)),
-                last_access=accesses.get(
-                    path.stem, _mtime_or(path, record.get("created_unix",
-                                                          0.0))),
+                # Never journaled (journal lost or unwritable): oldest.
+                last_access=ranks.get(path.stem, -1),
                 pinned=self.pin_path_live(path),
                 digest=record["digest"]))
         return out
@@ -398,7 +391,7 @@ class ArtifactStore(_StoreBase):
         evicting live entries.
         """
         budget = max_bytes if max_bytes is not None else self.budget_bytes
-        self._emit("gc_runs")
+        count(self.registry, self.prefix + "gc_runs")
         entries = self.entries()
         # Heal: an index entry whose blob vanished can never be read.
         live: List[StoreEntry] = []
@@ -430,11 +423,11 @@ class ArtifactStore(_StoreBase):
         report["orphan_blobs_removed"] = removed
 
     def _compact_journal(self) -> None:
-        """Rewrite the journal with one line per surviving entry."""
-        accesses = self._last_access_map()
+        """Rewrite the journal with one line per surviving entry, in
+        access order."""
+        ranks = self._access_ranks()
         survivors = {path.stem for path in self.index_dir.glob("*.json")}
-        lines = [f"{ts:.3f} {kd}\n"
-                 for kd, ts in sorted(accesses.items(), key=lambda i: i[1])
+        lines = [f"{kd}\n" for kd in sorted(ranks, key=ranks.__getitem__)
                  if kd in survivors]
         if not lines and not self.journal_path.exists():
             return
@@ -486,7 +479,6 @@ class ArtifactStore(_StoreBase):
             "bytes": self.total_bytes(),
             "budget_bytes": self.budget_bytes,
             "pinned": sum(1 for e in entries if e.pinned),
-            **self.counters,
         }
 
 
@@ -535,7 +527,7 @@ class FileStore(_StoreBase):
     def gc(self, max_bytes: Optional[int] = None,
            dry_run: bool = False) -> dict:
         budget = max_bytes if max_bytes is not None else self.budget_bytes
-        self._emit("gc_runs")
+        count(self.registry, self.prefix + "gc_runs")
         entries = self.entries()
         used = sum(entry.size for entry in entries)
         return self._evict_lru(
@@ -552,7 +544,7 @@ class FileStore(_StoreBase):
             if problem:
                 problems.append(f"{entry.path.name}: {problem}")
                 if repair and quarantine_file(entry.path) is not None:
-                    self._emit("quarantined")
+                    count(self.registry, self.prefix + "quarantined")
         return problems
 
     def stats(self) -> dict:
@@ -564,7 +556,6 @@ class FileStore(_StoreBase):
             "bytes": sum(e.size for e in entries),
             "budget_bytes": self.budget_bytes,
             "pinned": sum(1 for e in entries if e.pinned),
-            **self.counters,
         }
 
 

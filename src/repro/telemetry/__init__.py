@@ -31,6 +31,7 @@ from repro.telemetry.session import (
     TelemetrySession,
     activate,
     active_session,
+    count,
     deactivate,
 )
 from repro.telemetry.trace import (
@@ -61,6 +62,7 @@ __all__ = [
     "activate",
     "active_session",
     "config_hash",
+    "count",
     "deactivate",
     "merge_traces",
     "run_manifest",

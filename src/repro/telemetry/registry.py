@@ -269,6 +269,11 @@ class MetricsRegistry:
         """Machine-readable dump of every metric under ``prefix``."""
         return {name: metric.snapshot() for name, metric in self.items(prefix)}
 
+    def counts(self, prefix: str = "") -> Dict[str, int]:
+        """Flat ``{name: value}`` of every counter under ``prefix``."""
+        return {name: metric.value for name, metric in self.items(prefix)
+                if isinstance(metric, Counter)}
+
 
 class NullRegistry(MetricsRegistry):
     """Registry twin whose factories return shared no-op metrics."""

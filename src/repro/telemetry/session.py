@@ -62,15 +62,9 @@ class TelemetrySession:
         self.started = time.monotonic()
         self._tracers: List[ChromeTracer] = []
         self.runs: List[dict] = []
-        # Named event counters (retries, failures by kind, cache
-        # quarantines, ...): cheap to bump anywhere, exported with the
-        # run manifest.
-        self.counters: Dict[str, int] = {}
-
-    def incr(self, name: str, n: int = 1) -> int:
-        """Bump a named counter, creating it at zero first."""
-        self.counters[name] = self.counters.get(name, 0) + n
-        return self.counters[name]
+        # Session-wide event counters (count() mirrors, worker
+        # counters, sanitizer findings), exported with the manifest.
+        self.registry = MetricsRegistry()
 
     # ------------------------------------------------------------------
 
@@ -102,12 +96,12 @@ class TelemetrySession:
         The parallel executor's workers run under their own sessions
         and ship back plain dicts; trace pids are remapped so each
         ingested worker session stays a distinct trace process lane,
-        and worker-side counters (e.g. cache quarantines) sum into the
+        and worker-side counters (e.g. sanitizer findings) sum into the
         parent's.
         """
         self.runs.extend(runs)
         for name, value in (counters or {}).items():
-            self.incr(name, value)
+            self.registry.counter(name).inc(value)
         if not trace_events:
             return
         pid_map: dict = {}
@@ -130,7 +124,7 @@ class TelemetrySession:
         return run_manifest(config=config, seed=seed, argv=argv,
                             wall_time_s=time.monotonic() - self.started,
                             extra={"num_runs": len(self.runs),
-                                   "counters": dict(self.counters)})
+                                   "counters": self.registry.counts()})
 
     def export_stats(self, path: str, config=None,
                      seed: Optional[int] = None,
@@ -165,3 +159,17 @@ def deactivate() -> None:
 
 def active_session() -> Optional[TelemetrySession]:
     return _active
+
+
+def count(registry: MetricsRegistry, name: str, n: int = 1) -> None:
+    """Bump counter ``name`` in ``registry`` and in the active session.
+
+    The one counting path for host-side events (cache, store, executor,
+    service): the owner's registry answers ``/metrics`` and ``report
+    --json``, the session's copy lands in ``--stats-json`` manifests.
+    """
+    if not n:
+        return
+    registry.counter(name).inc(n)
+    if _active is not None:
+        _active.registry.counter(name).inc(n)

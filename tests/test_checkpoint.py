@@ -290,6 +290,7 @@ def test_ckptkill_worker_resumes_byte_identical(tmp_path, baseline,
     monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/rl=ckptkill")
     executor = ParallelExecutor(config, jobs=2)
     results = executor.run([spec])
-    assert executor.counters.get("resilience.failures.broken-pool") == 1
+    assert executor.registry.counts().get(
+        "resilience.failures.broken-pool") == 1
     assert result_bytes(results[spec]) == baseline
     assert list(tmp_path.iterdir()) == []

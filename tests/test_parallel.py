@@ -351,29 +351,46 @@ class TestPersistentExecutor:
 class TestCacheStats:
     def test_counters_track_traffic(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        assert cache.stats() == {"directory": str(tmp_path), "hits": 0,
-                                 "misses": 0, "writes": 0, "quarantined": 0}
+        assert cache.directory == tmp_path
+        assert cache.registry.counts("cache.") == {
+            "cache.hits": 0, "cache.misses": 0, "cache.writes": 0,
+            "cache.quarantined": 0}
         assert cache.get("key") is None
         cache.put("key", make_result())
         assert cache.get("key") is not None
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["writes"]) == (1, 1, 1)
+        stats = cache.registry.counts()
+        assert (stats["cache.hits"], stats["cache.misses"],
+                stats["cache.writes"]) == (1, 1, 1)
 
     def test_contains_probe_is_free(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         assert not cache.contains("key")
         cache.put("key", make_result())
         assert cache.contains("key")
-        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        stats = cache.registry.counts()
+        assert stats["cache.hits"] == stats["cache.misses"] == 0
 
     def test_corrupt_entry_counted_as_quarantined(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("key", make_result())
         cache._path("key").write_text("not json {")
         assert cache.get("key") is None
-        assert cache.stats()["quarantined"] == 1
+        assert cache.registry.counts()["cache.quarantined"] == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_writes_count_in_parent(self, tmp_path, jobs):
+        # At jobs=2 the puts happen in worker processes, and no
+        # telemetry session is active: the parent must still count them.
+        config = ExperimentConfig(target_dram_reads=100,
+                                  cache_dir=str(tmp_path))
+        executor = ParallelExecutor(config, jobs=jobs)
+        executor.run([RunSpec("mcf", "ddr3"), RunSpec("mcf", "rl")])
+        assert len(list((tmp_path / "index").glob("*.json"))) == 2
+        counts = executor.registry.counts()
+        assert counts["cache.writes"] == 2
+        assert counts["store.results.writes"] == 2
 
     def test_null_cache_stats(self):
         cache = ResultCache(None)
-        assert cache.stats()["directory"] is None
+        assert cache.directory is None
         assert not cache.contains("key")

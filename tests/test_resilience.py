@@ -260,7 +260,7 @@ class TestCacheQuarantine:
             cache.get("key")
         finally:
             deactivate()
-        assert session.counters["cache.quarantined"] == 1
+        assert session.registry.counts()["cache.quarantined"] == 1
         assert session.manifest()["counters"]["cache.quarantined"] == 1
 
     def test_rerun_after_quarantine_repopulates(self, tmp_path):
@@ -288,8 +288,8 @@ class TestSerialResilience:
         executor = ParallelExecutor(config_for(), jobs=1, policy=FAST)
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
-        assert executor.counters["resilience.failures.crash"] == 1
-        assert executor.counters["resilience.retries"] == 1
+        assert executor.registry.counts()["resilience.failures.crash"] == 1
+        assert executor.registry.counts()["resilience.retries"] == 1
         assert not executor.failures
 
     def test_exhausted_keep_going_records_failed_run(self):
@@ -351,8 +351,8 @@ class TestParallelResilience:
                                 RunSpec("mcf", "rldram3")])
         assert not executor.failures
         assert all(r.elapsed_cycles > 0 for r in results.values())
-        assert executor.counters["resilience.failures.crash"] == 1
-        assert executor.counters["resilience.retries"] == 1
+        assert executor.registry.counts()["resilience.failures.crash"] == 1
+        assert executor.registry.counts()["resilience.retries"] == 1
 
     def test_injected_hang_past_timeout(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/rldram3=hang:*:30")
@@ -365,7 +365,7 @@ class TestParallelResilience:
         failed = results[RunSpec("mcf", "rldram3")]
         assert isinstance(failed, FailedRun)
         assert failed.kind == TIMEOUT and failed.attempts == 2
-        assert executor.counters["resilience.failures.timeout"] == 2
+        assert executor.registry.counts()["resilience.failures.timeout"] == 2
         # The innocent spec sharing the pool still completed.
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
 
@@ -377,7 +377,7 @@ class TestParallelResilience:
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert not executor.failures
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
-        assert executor.counters["resilience.failures.timeout"] == 1
+        assert executor.registry.counts()["resilience.failures.timeout"] == 1
 
     def test_worker_kill_breaks_pool_then_respawns(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "mcf/ddr3=kill:1")
@@ -388,7 +388,8 @@ class TestParallelResilience:
                                 RunSpec("mcf", "rldram3")])
         assert not executor.failures
         assert all(r.elapsed_cycles > 0 for r in results.values())
-        assert executor.counters["resilience.failures.broken-pool"] >= 1
+        counts = executor.registry.counts()
+        assert counts["resilience.failures.broken-pool"] >= 1
 
     def test_degrade_serial_rescues_worker_only_failure(self, monkeypatch):
         # kill:* breaks every pool attempt; the in-process last resort
@@ -399,7 +400,7 @@ class TestParallelResilience:
         results = executor.run([RunSpec("mcf", "ddr3")])
         assert not executor.failures
         assert results[RunSpec("mcf", "ddr3")].elapsed_cycles > 0
-        assert executor.counters["resilience.degraded_runs"] == 1
+        assert executor.registry.counts()["resilience.degraded_runs"] == 1
 
     def test_keyboard_interrupt_strands_no_workers(self, monkeypatch):
         import concurrent.futures
@@ -424,8 +425,8 @@ class TestParallelResilience:
             executor.run([RunSpec("mcf", "ddr3")])
         finally:
             deactivate()
-        assert session.counters["resilience.failures.crash"] == 1
-        assert session.counters["resilience.retries"] == 1
+        assert session.registry.counts()["resilience.failures.crash"] == 1
+        assert session.registry.counts()["resilience.retries"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ class TestChaosDeterminism:
             tmp_path / "faulty",
             policy=RetryPolicy(max_retries=2, backoff_base_s=0.001))
         assert not executor.failures
-        assert executor.counters["resilience.retries"] == 2
+        assert executor.registry.counts()["resilience.retries"] == 2
         assert faulty == clean  # byte-identical despite two crashes
 
     def test_exhausted_failures_degrade_gracefully(self, monkeypatch,

@@ -11,6 +11,7 @@ ephemeral port and go through :class:`ServiceClient`, exactly like the
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -159,8 +160,8 @@ class TestScheduler:
             sched.start()
             finished = [sched.wait(job.id, timeout=120) for job in jobs]
             assert all(job.state == "done" for job in finished)
-            assert sched.counters["simulated_specs"] == 1
-            assert sched.counters["coalesced_specs"] == 3
+            assert sched.registry.counts()["service.simulated_specs"] == 1
+            assert sched.registry.counts()["service.coalesced_specs"] == 3
             # Every waiter got the same underlying result.
             cycles = {job.results[0]["elapsed_cycles"] for job in finished}
             assert len(cycles) == 1
@@ -175,7 +176,7 @@ class TestScheduler:
             with pytest.raises(QueueFull) as excinfo:
                 sched.submit({"specs": [SPEC_MCF_DDR3]})
             assert excinfo.value.retry_after_s >= 1.0
-            assert sched.counters["jobs_rejected"] == 1
+            assert sched.registry.counts()["service.jobs_rejected"] == 1
             sched.start()
             # Once the queue drains, the retried submit is accepted and
             # serves straight from the now-warm cache.
@@ -183,7 +184,7 @@ class TestScheduler:
                 sched.wait(job.id, timeout=120)
             retried = sched.submit({"specs": [SPEC_MCF_DDR3]})
             assert sched.wait(retried.id, timeout=120).state == "done"
-            assert sched.counters["simulated_specs"] == 1
+            assert sched.registry.counts()["service.simulated_specs"] == 1
         finally:
             sched.shutdown()
 
@@ -193,7 +194,7 @@ class TestScheduler:
         job = sched1.submit({"specs": [SPEC_MCF_DDR3]})
         done = sched1.wait(job.id, timeout=120)
         sched1.shutdown()
-        assert sched1.counters["simulated_specs"] == 1
+        assert sched1.registry.counts()["service.simulated_specs"] == 1
 
         # Forge the manifest a server killed mid-suite would leave:
         # same specs, still queued. The replacement server recovers it
@@ -206,14 +207,25 @@ class TestScheduler:
 
         sched2 = JobScheduler(config, store=store, jobs=1, recover=True)
         try:
-            assert sched2.counters["jobs_recovered"] == 1
+            assert sched2.registry.counts()["service.jobs_recovered"] == 1
             resumed = sched2.wait("j-resume0001", timeout=120)
             assert resumed.state == "done"
-            assert sched2.counters["simulated_specs"] == 0  # cache recall
+            # Cache recall, not recompute.
+            assert sched2.registry.counts()["service.simulated_specs"] == 0
             assert resumed.results[0]["elapsed_cycles"] == \
                 done.results[0]["elapsed_cycles"]
         finally:
             sched2.shutdown()
+
+    def test_uptime_survives_wall_clock_step_back(self, tmp_path,
+                                                  monkeypatch):
+        sched = make_scheduler(tmp_path, start=False)
+        try:
+            # An NTP step: the wall clock jumps back to the epoch.
+            monkeypatch.setattr(time, "time", lambda: 0.0)
+            assert sched.health()["uptime_s"] >= 0.0
+        finally:
+            sched.shutdown()
 
     def test_injected_crash_retried_without_failing_job(self, tmp_path):
         config = make_config(tmp_path, retries=1)
@@ -224,7 +236,7 @@ class TestScheduler:
                 job = sched.submit({"specs": [SPEC_MCF_DDR3]})
                 assert sched.wait(job.id, timeout=120).state == "done"
                 metrics = sched.metrics()
-                assert metrics["executor.resilience.retries"] == 1
+                assert metrics["resilience.retries"] == 1
                 assert metrics["jobs"].get("failed") is None
             finally:
                 sched.shutdown()
@@ -269,7 +281,8 @@ class TestScheduler:
             second = sched.wait(second.id, timeout=300)
             assert first.state == second.state == "done"
             assert first.table and first.table == second.table
-            assert sched.counters["simulated_specs"] == spec_count
+            counts = sched.registry.counts()
+            assert counts["service.simulated_specs"] == spec_count
         finally:
             sched.shutdown()
 
@@ -384,7 +397,7 @@ class TestQuarantine:
         assert store.load("j-torn0001") is None
         assert not path.exists()
         assert path.with_suffix(".json.corrupt").exists()
-        assert store.counters["manifests_quarantined"] == 1
+        assert store.registry.counts()["service.manifests_quarantined"] == 1
         # The quarantined file no longer matches the manifest glob, so
         # listings and restart recovery skip it without re-tripping.
         assert store.job_ids() == []
@@ -401,7 +414,7 @@ class TestQuarantine:
         (store.directory / "j-drift001.json").write_text(
             '{"schema": 99, "payload": "from-the-future"}')
         assert store.load("j-drift001") is None
-        assert store.counters["manifests_quarantined"] == 1
+        assert store.registry.counts()["service.manifests_quarantined"] == 1
 
     def test_healthy_manifest_untouched(self, tmp_path):
         config = make_config(tmp_path)
@@ -409,7 +422,7 @@ class TestQuarantine:
         job = parse_request({"specs": [SPEC_MCF_DDR3]}, config)
         store.save(job)
         assert store.load(job.id).id == job.id
-        assert store.counters["manifests_quarantined"] == 0
+        assert store.registry.counts()["service.manifests_quarantined"] == 0
 
     def test_quarantine_count_in_metrics(self, tmp_path):
         sched = make_scheduler(tmp_path, start=False)

@@ -152,7 +152,9 @@ class TestArtifactStore:
         digest = store.put_bytes("key", b"value")
         assert store.get_bytes("key") == b"value"
         assert store.blob_path(digest).exists()
-        assert (store.counters["hits"], store.counters["writes"]) == (1, 1)
+        counts = store.registry.counts()
+        assert (counts["store.results.hits"],
+                counts["store.results.writes"]) == (1, 1)
 
     def test_identical_payloads_share_one_blob(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -160,7 +162,7 @@ class TestArtifactStore:
         b = store.put_bytes("key-b", b"shared payload")
         assert a == b
         assert len(list(store.blobs_dir.glob("*/*.blob"))) == 1
-        assert store.counters["dedup_hits"] == 1
+        assert store.registry.counts()["store.results.dedup_hits"] == 1
 
     def test_bit_rot_is_quarantined_not_returned(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -168,7 +170,7 @@ class TestArtifactStore:
         blob = store.blob_path(digest)
         blob.write_bytes(b"rotted!!")
         assert store.get_bytes("key") is None
-        assert store.counters["quarantined"] == 1
+        assert store.registry.counts()["store.results.quarantined"] == 1
         assert blob.with_name(blob.name + ".corrupt").exists()
         # The entry now reads as a plain miss -> caller recomputes.
         assert store.get_bytes("key") is None
@@ -203,7 +205,7 @@ class TestEviction:
         store = ArtifactStore(tmp_path, budget_bytes=self.BUDGET)
         self._fill(store)  # 24 * 64 KiB = 1.5 MiB of payload
         assert store.total_bytes() <= self.BUDGET
-        assert store.counters["evictions"] > 0
+        assert store.registry.counts()["store.results.evictions"] > 0
         # Evicted keys read as clean misses, never errors.
         for i in range(24):
             data = store.get_bytes(f"key-{i:02d}")
@@ -218,6 +220,29 @@ class TestEviction:
         report = store.gc(max_bytes=3500)
         assert "key-1" in report["evicted"]
         assert store.get_bytes("key-0") is not None
+
+    def test_lru_order_ignores_clock_resolution(self, tmp_path,
+                                                monkeypatch):
+        # Every put and get lands on the same wall-clock instant: only
+        # the journal's line order can tell key-0's touch was last.
+        monkeypatch.setattr(time, "time", lambda: 1_000_000.0)
+        store = ArtifactStore(tmp_path)
+        for i in range(4):
+            store.put_bytes(f"key-{i}", bytes([i]) * 1000)
+        assert store.get_bytes("key-0") is not None
+        report = store.gc(max_bytes=3500)
+        assert report["evicted"][0] == "key-1"
+        assert store.get_bytes("key-0") is not None
+
+    def test_compaction_keeps_access_order(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        for key in ("a", "b", "c"):
+            store.put_bytes(key, key.encode() * 100)
+        store.get_bytes("a")
+        store.gc()  # compacts the journal to one line per entry
+        store.get_bytes("b")
+        ranked = sorted(store.entries(), key=lambda e: e.last_access)
+        assert [e.key for e in ranked] == ["c", "a", "b"]
 
     def test_pinned_entries_survive_zero_budget(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -323,7 +348,8 @@ class TestResultCacheMigration:
         cache = ResultCache(str(tmp_path))
         recalled = cache.get("old-key")
         assert recalled is not None and recalled.elapsed_cycles == 77
-        assert cache.stats()["hits"] == 1  # a hit, not a recompute
+        # A hit, not a recompute.
+        assert cache.registry.counts()["cache.hits"] == 1
         assert not legacy.exists()  # retired into the store
         assert cache.store.contains("old-key")
         # Second read comes straight from the CAS.
@@ -334,7 +360,7 @@ class TestResultCacheMigration:
         legacy.write_text("{torn")
         cache = ResultCache(str(tmp_path))
         assert cache.get("key") is None
-        assert cache.stats()["quarantined"] == 1
+        assert cache.registry.counts()["cache.quarantined"] == 1
         assert legacy.with_name(legacy.name + ".corrupt").exists()
 
     def test_contains_sees_legacy_entries(self, tmp_path):
@@ -371,7 +397,7 @@ class TestBudgetedRecompute:
         for i in range(40):
             cache.put(f"key-{i}", make_result(cycles=i))
         assert cache.store.total_bytes() <= 4096  # bounded overshoot
-        assert cache.store.counters["evictions"] > 0
+        assert cache.registry.counts()["store.results.evictions"] > 0
 
 
 # ---------------------------------------------------------------------------
