@@ -25,8 +25,8 @@ resolved workload-source id and its content token (so a report pins
 exactly which workload bytes it measured), plus the process peak RSS
 (``ru_maxrss``) after the cell ran — the figure that demonstrates the
 streaming trace pipeline's memory win. ``compare_to_baseline`` only
-reads throughput fields, so schema-1 baselines keep gating schema-2
-reports.
+reads the read target and throughput fields, so schema-1 baselines keep
+gating schema-2 reports.
 
 Used by ``repro bench`` (see :mod:`repro.cli`) and by
 ``benchmarks/perf/test_kernel_throughput.py``.
@@ -144,8 +144,17 @@ def compare_to_baseline(report: Dict[str, object],
     of the baseline. Returns ``(ok, messages)``.
 
     Only the aggregate rate gates — per-cell rates are reported for
-    diagnosis but are too noisy to fail on individually.
+    diagnosis but are too noisy to fail on individually. A baseline
+    taken at a different read target is refused (not ok, no ratio):
+    longer runs amortise warm-up over more reads, so their rate is
+    higher on the same kernel and a ratio across targets measures the
+    target, not the code.
     """
+    base_reads = baseline.get("target_dram_reads")
+    cur_reads = report.get("target_dram_reads")
+    if base_reads != cur_reads:
+        return False, [f"not comparable: {cur_reads} vs {base_reads} reads "
+                       f"(report vs baseline target_dram_reads)"]
     messages: List[str] = []
     base_total = baseline.get("total", {}).get("reads_per_second")
     cur_total = report.get("total", {}).get("reads_per_second")

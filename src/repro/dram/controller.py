@@ -20,24 +20,44 @@ per-command timing constraints flattened to integer attributes at
 construction (bus-cycle alignment, CAS data latencies, the burst beat),
 a per-rank data-bus table replacing the ``rank_to_bus`` dict lookup,
 and a live count of unpromoted prefetches so the common no-prefetch
-case skips the demand/prefetch partition and the promotion scan
-entirely. All of it is bit-identical to the straightforward form: the
-same commands issue at the same cycles in the same order.
+case skips the promotion scan entirely.
+
+Each queue is also indexed by ``(rank, bank)``: a bank keeps its queued
+requests in queue order, one list per demand class, plus a count per
+row, and every request carries an enqueue sequence number. The
+scheduler walks busy banks, not queued requests, and rejects a whole
+rank or bank on rank/bank state (wake, open row, column/PRE/ACT
+horizons, data-bus start). The FR-FCFS winner is the lowest sequence
+number among legal bank heads of a demand class, which is exactly the
+first legal request in queue order.
+
+A non-issuing tick records ``_idle_until``: a lower bound on the first
+cycle any queued command could become legal or refresh service could
+change state. Until then
+a tick is provably idle and takes an O(1) path that does only what the
+full path would (drain flag, occupancy sample, due promotions) and
+reschedules at the same time. Ticks themselves are never skipped: the
+wake schedule fixes the event order of same-cycle enqueues and queue
+checks, so dropping a tick changes results.
+
+All of it is bit-identical to the straightforward form: the same
+commands issue at the same cycles in the same order.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.dram.bank import BankState
 from repro.dram.channel import Channel
 from repro.dram.device import DeviceConfig, PagePolicy
-from repro.dram.request import MemoryRequest, WORDS_PER_LINE
+from repro.dram.request import MemoryRequest, RequestKind, WORDS_PER_LINE
 from repro.dram.rank import PowerState, Rank
 from repro.dram.scheduler import (
     SchedulingPolicy,
-    promote_aged_prefetches,
     select_oldest,
 )
 from repro.dram.timing import TimingSet
@@ -50,6 +70,8 @@ from repro.telemetry.trace import NULL_TRACER
 from repro.util.events import EventQueue
 
 FAR_FUTURE = 1 << 62
+
+_queue_position = attrgetter("enqueue_seq")
 
 
 class _DeliverCritical:
@@ -78,6 +100,25 @@ class _DeliverComplete:
         req.on_complete(req.completion_time)
 
 
+class _BankQueue:
+    """One queue's requests to one bank, per demand class in queue order.
+
+    ``reqs`` holds demands and promoted prefetches, ``pfs`` unpromoted
+    prefetches (read queue only), so each class head is its list's
+    first entry. ``rows`` counts both lists' requests per row, so "does
+    any request hit the open row?" and "does any conflict with it?" are
+    O(1).
+    """
+
+    __slots__ = ("bank", "reqs", "pfs", "rows")
+
+    def __init__(self, bank) -> None:
+        self.bank = bank
+        self.reqs: List[MemoryRequest] = []
+        self.pfs: List[MemoryRequest] = []
+        self.rows: Dict[int, int] = {}
+
+
 @dataclass
 class ControllerConfig:
     """Knobs from paper Table 1 plus policy switches."""
@@ -103,7 +144,6 @@ class ControllerStats:
     __slots__ = (
         "reads_done", "writes_done", "sum_queue_latency",
         "sum_core_latency", "sum_total_latency", "sum_critical_latency",
-        "read_queue_occupancy_samples", "sum_read_queue_occupancy",
         "refreshes", "prefetches_done",
     )
 
@@ -114,8 +154,6 @@ class ControllerStats:
         self.sum_core_latency = 0
         self.sum_total_latency = 0
         self.sum_critical_latency = 0
-        self.read_queue_occupancy_samples = 0
-        self.sum_read_queue_occupancy = 0
         self.refreshes = 0
         self.prefetches_done = 0
 
@@ -157,8 +195,15 @@ class MemoryController:
         # never mutated after construction, and these are read every tick.
         "_refresh_enabled", "_aggressive_pd", "_pd_threshold",
         "_age_threshold", "_fr_fcfs", "_rd_size", "_wr_size",
-        "_high_wm", "_low_wm",
-        "_queue_version", "_partition_version", "_partition",
+        "_high_wm", "_low_wm", "_idle_tick_ok",
+        # Per-queue (rank, bank) index: busy ranks -> busy banks ->
+        # _BankQueue, plus every bank's _BankQueue by [rank][bank].
+        "_rd_index", "_wr_index", "_rd_banks", "_wr_banks", "_seq",
+        # Earliest promotion time (a lower bound; FAR_FUTURE if none).
+        "_promote_due",
+        # Provably-idle state from the last non-issuing tick: the raw
+        # wake bound and the first cycle anything could become legal.
+        "_wake_bound", "_idle_until",
         # Optional protocol sanitizer (shadow timing/FSM model); None on
         # un-instrumented runs so every hook costs one identity check.
         "_san",
@@ -217,16 +262,19 @@ class MemoryController:
         self._rank_bus = [channel.data_buses[self.rank_to_bus[i]]
                           for i in range(num_ranks)]
         self._close_page = device.page_policy is PagePolicy.CLOSE
-        # Live count of queued unpromoted prefetches: while it is zero the
-        # scheduler skips promotion scans and demand/prefetch partitions.
+        # Live count of queued unpromoted prefetches: while it is zero
+        # promotion never scans the read queue.
         self._unpromoted_prefetches = 0
-        # Read-queue demand/prefetch partition, rebuilt only when the
-        # queue (or a promotion) changes. ``_queue_version`` is bumped by
-        # every mutation; the cached partition carries the version it was
-        # built against.
-        self._queue_version = 0
-        self._partition_version = -1
-        self._partition = None
+        self._promote_due = FAR_FUTURE
+        self._rd_index: Dict[int, Dict[int, _BankQueue]] = {}
+        self._wr_index: Dict[int, Dict[int, _BankQueue]] = {}
+        self._rd_banks = [[_BankQueue(bank) for bank in rank.banks]
+                          for rank in self.ranks]
+        self._wr_banks = [[_BankQueue(bank) for bank in rank.banks]
+                          for rank in self.ranks]
+        self._seq = 0
+        self._wake_bound = FAR_FUTURE
+        self._idle_until = 0
         self._refresh_due = min(self._next_refresh) if num_ranks else FAR_FUTURE
         cfg = self.config
         self._refresh_enabled = cfg.refresh_enabled
@@ -238,6 +286,10 @@ class MemoryController:
         self._wr_size = cfg.write_queue_size
         self._high_wm = cfg.high_watermark
         self._low_wm = cfg.low_watermark
+        # Aggressive power-down on a multi-rank channel may put an idle
+        # rank to sleep while others have work, so no tick is provably
+        # idle there.
+        self._idle_tick_ok = not (self._aggressive_pd and num_ranks > 1)
         self._san = None
 
     # ------------------------------------------------------------------
@@ -292,35 +344,53 @@ class MemoryController:
     def enqueue(self, request: MemoryRequest) -> bool:
         """Accept a request; returns False if the target queue is full.
 
-        Queue-order invariant: requests are appended with a monotone
-        ``arrival_time`` and monotone ``request_id`` (ids are allocated
-        at construction and requests are enqueued as they are created),
-        and removal never reorders, so each queue is always sorted by
-        ``(arrival_time, request_id)``. The issue scans rely on this:
-        within one demand class the first ready request in queue order
-        *is* the FR-FCFS winner, with no per-candidate key comparisons.
+        Queue-order invariant: removal never reorders a queue, so queue
+        order is enqueue order, and ``enqueue_seq`` numbers it. Within
+        one demand class the first ready request in queue order is the
+        FR-FCFS winner, i.e. the lowest ``enqueue_seq`` among the legal
+        heads of the per-bank lists. Requests also arrive with monotone
+        ``arrival_time`` and ``request_id``, so queue order is
+        ``(arrival_time, request_id)`` order, and the oldest unpromoted
+        prefetch is the first one in the read queue.
         """
+        d = request.decoded
         if request.is_read:
             queue = self.read_queue
-            limit = self._rd_size
+            if len(queue) >= self._rd_size:
+                return False
+            bq = self._rd_banks[d.rank][d.bank]
+            index = self._rd_index
         else:
             queue = self.write_queue
-            limit = self._wr_size
-        if len(queue) >= limit:
-            return False
+            if len(queue) >= self._wr_size:
+                return False
+            bq = self._wr_banks[d.rank][d.bank]
+            index = self._wr_index
         now = self.events.now
         request.arrival_time = now
+        request.enqueue_seq = self._seq
+        self._seq += 1
         queue.append(request)
-        if request.is_read:
-            self._queue_version += 1
+        rows = bq.rows
+        if not rows:
+            banks = index.get(d.rank)
+            if banks is None:
+                banks = index[d.rank] = {}
+            banks[d.bank] = bq
+        rows[d.row] = rows.get(d.row, 0) + 1
         if request.is_prefetch and not request.promoted:
+            if not self._unpromoted_prefetches:
+                self._promote_due = now + self._age_threshold
             self._unpromoted_prefetches += 1
-        rank = self.ranks[request.decoded.rank]
+            bq.pfs.append(request)
+        else:
+            bq.reqs.append(request)
+        self._idle_until = 0
+        rank = self.ranks[d.rank]
         if rank.power_state in (PowerState.POWER_DOWN, PowerState.SELF_REFRESH):
             rank.wake(now)
             if self._san is not None:
-                self._san.note_wake(now, request.decoded.rank,
-                                    rank.wake_time)
+                self._san.note_wake(now, d.rank, rank.wake_time)
         self._schedule_tick(now)
         return True
 
@@ -361,259 +431,410 @@ class MemoryController:
     def _tick(self) -> None:
         self._tick_event = None
         now = self.events.now
-        if self._refresh_enabled and now >= self._refresh_due:
+        idle = now < self._idle_until
+        if (not idle and self._refresh_enabled
+                and now >= self._refresh_due):
             self._service_refresh(now)
-        if self._unpromoted_prefetches:
-            promoted = promote_aged_prefetches(
-                self.read_queue, now, self._age_threshold)
-            if promoted:
-                self._unpromoted_prefetches -= promoted
-                self._queue_version += 1
-                self._c_promotions.inc(promoted)
+        if now >= self._promote_due:
+            self._promote_aged(now)
         write_depth = len(self.write_queue)
         if self._draining_writes:
             if write_depth <= self._low_wm:
                 self._draining_writes = False
         elif write_depth >= self._high_wm:
             self._draining_writes = True
-
-        occupancy = len(self.read_queue)
-        stats = self.stats
-        stats.read_queue_occupancy_samples += 1
-        stats.sum_read_queue_occupancy += occupancy
         if self._telemetry:
-            self._h_occupancy.observe(occupancy)
+            self._h_occupancy.observe(len(self.read_queue))
 
-        # First slot unrolled: most channels have one command slot per
-        # bus cycle, and the loop stops at the first idle slot anyway.
-        issued_any = self._issue_one(now)
-        if issued_any:
-            for _ in range(self._slots_per_cycle - 1):
-                if not self._issue_one(now):
-                    break
+        if idle:
+            # Provably idle: no queued command can become legal and
+            # refresh service can change nothing before ``_idle_until``,
+            # and nothing has changed since the tick that computed it
+            # (enqueue resets it). The full path would issue nothing and
+            # return this same wake time.
+            next_time = self._wake_bound
+            if next_time <= now:
+                next_time = now + self._bus_cycle
+            cap = now + self._t_rc
+            if next_time > cap:
+                next_time = cap
+        else:
+            # First slot unrolled: most channels have one command slot per
+            # bus cycle, and the loop stops at the first idle slot anyway.
+            issued_any = self._issue_one(now)
+            if issued_any:
+                for _ in range(self._slots_per_cycle - 1):
+                    if not self._issue_one(now):
+                        break
 
-        if self._aggressive_pd:
-            self._try_powerdown(now)
+            if self._aggressive_pd:
+                self._try_powerdown(now)
 
-        if self.read_queue or self.write_queue:
+            if not (self.read_queue or self.write_queue):
+                # Idle: wake for the next refresh, and — when the sleep
+                # policy is on — once the idle threshold elapses so ranks
+                # can actually enter power-down.
+                target = FAR_FUTURE
+                if self._refresh_enabled:
+                    target = min(self._next_refresh)
+                if self._aggressive_pd and any(
+                        r.power_state is PowerState.STANDBY
+                        for r in self.ranks):
+                    target = min(target, now + self._pd_threshold)
+                if target < FAR_FUTURE:
+                    # Never reschedule at the current instant: an overdue
+                    # refresh blocked on bank timing must wait for time
+                    # to advance.
+                    self._schedule_tick(max(target, now + self._bus_cycle))
+                return
             next_time = (now + self._bus_cycle if issued_any
                          else self._next_wake_time(now))
-            floor = now + 1
-            self._schedule_tick(next_time if next_time > floor else floor)
-        else:
-            # Idle: wake for the next refresh, and — when the sleep
-            # policy is on — once the idle threshold elapses so ranks
-            # can actually enter power-down.
-            target = FAR_FUTURE
-            if self._refresh_enabled:
-                target = min(self._next_refresh)
-            if self._aggressive_pd and any(
-                    r.power_state is PowerState.STANDBY for r in self.ranks):
-                target = min(target, now + self._pd_threshold)
-            if target < FAR_FUTURE:
-                # Never reschedule at the current instant: an overdue
-                # refresh blocked on bank timing must wait for time to
-                # advance.
-                self._schedule_tick(max(target, now + self._bus_cycle))
+        floor = now + 1
+        self._schedule_tick(next_time if next_time > floor else floor)
+
+    def _promote_aged(self, now: int) -> None:
+        """Promote prefetches that waited ``prefetch_age_threshold``.
+
+        The read queue is in arrival order, so the scan stops at the
+        first unpromoted prefetch too young to promote, and its age-out
+        time is the next due time. ``_promote_due`` may run early (an
+        issued prefetch leaves it stale), never late.
+        """
+        threshold = self._age_threshold
+        due = FAR_FUTURE
+        promoted = 0
+        if self._unpromoted_prefetches:
+            rd_banks = self._rd_banks
+            for req in self.read_queue:
+                if req.is_prefetch and not req.promoted:
+                    if now - req.arrival_time < threshold:
+                        due = req.arrival_time + threshold
+                        break
+                    req.promoted = True
+                    d = req.decoded
+                    bq = rd_banks[d.rank][d.bank]
+                    # The bank's oldest unpromoted prefetch joins the
+                    # demand class at its queue position.
+                    bq.pfs.remove(req)
+                    insort(bq.reqs, req, key=_queue_position)
+                    promoted += 1
+        if promoted:
+            self._unpromoted_prefetches -= promoted
+            self._c_promotions.inc(promoted)
+        self._promote_due = due
 
     def _next_wake_time(self, now: int) -> int:
         """Conservative earliest time any queued command could issue.
 
-        The body of :meth:`_earliest_progress_time` is inlined into the
-        queue scan — this runs for every queued request on every idle
-        tick, and the method-call plus ``max()`` overhead dominates the
-        arithmetic.
+        One pass over the busy banks of both queues. A bank contributes
+        the horizon of each command its requests could need: the column
+        horizon if any request hits the open row, the precharge horizon
+        if any conflicts with it, the activate horizon if it is closed
+        (close-page: the access horizon). The minimum, taken without the
+        present time, is kept as ``_wake_bound``.
+
+        The same pass records ``_idle_until``: that minimum with the
+        data-bus start folded into column and close-page access terms,
+        a precharge term only where a class head conflicts, and capped
+        by :meth:`_refresh_bound`. No command can be legal before it, so
+        ticks before it are provably idle.
         """
-        best = FAR_FUTURE
+        bound = FAR_FUTURE
+        idle_until = FAR_FUTURE
         ranks = self.ranks
+        rank_bus = self._rank_bus
         close = self._close_page
+        fr_fcfs = self._fr_fcfs
         active = BankState.ACTIVE
-        for queue in (self.read_queue, self.write_queue):
-            for req in queue:
-                d = req.decoded
-                rank = ranks[d.rank]
-                bank = rank.banks[d.bank]
+        for index, is_read in ((self._rd_index, True),
+                               (self._wr_index, False)):
+            if not index:
+                continue
+            if is_read:
+                kind = RequestKind.READ
+                t_lat = self._t_rl
+            else:
+                kind = RequestKind.WRITE
+                t_lat = self._t_wl
+            for r_i, banks in index.items():
+                rank = ranks[r_i]
+                wake = rank.wake_time
                 if close:
-                    t = bank.next_activate
-                    w = rank.wake_time
-                    if w > t:
-                        t = w
-                    w = rank.next_act_allowed
-                    if w > t:
-                        t = w
-                elif bank.state is active:
-                    if bank.open_row == d.row:
-                        t = bank.next_read if req.is_read else bank.next_write
-                    else:
+                    rank_t = rank.next_act_allowed
+                    if wake > rank_t:
+                        rank_t = wake
+                    bus_t = None
+                    for bq in banks.values():
+                        t = bq.bank.next_activate
+                        if rank_t > t:
+                            t = rank_t
+                        if t < bound:
+                            bound = t
+                        if t < idle_until:
+                            if bus_t is None:
+                                bus_t = (rank_bus[r_i].earliest_start(
+                                    0, kind, r_i) - t_lat)
+                            if bus_t > t:
+                                t = bus_t
+                            if t < idle_until:
+                                idle_until = t
+                    continue
+                bus_t = None
+                act_t = None
+                for bq in banks.values():
+                    bank = bq.bank
+                    if bank.state is active:
+                        hits = bq.rows.get(bank.open_row, 0)
+                        if hits:
+                            t = bank.next_read if is_read else bank.next_write
+                            if wake > t:
+                                t = wake
+                            if t < bound:
+                                bound = t
+                            if t < idle_until:
+                                if bus_t is None:
+                                    bus_t = (rank_bus[r_i].earliest_start(
+                                        0, kind, r_i) - t_lat)
+                                if bus_t > t:
+                                    t = bus_t
+                                if t < idle_until:
+                                    idle_until = t
+                        reqs = bq.reqs
+                        pfs = bq.pfs
+                        if hits == len(reqs) + len(pfs):
+                            continue
                         t = bank.next_precharge
-                    w = rank.wake_time
-                    if w > t:
-                        t = w
-                else:
-                    t = bank.next_activate
-                    w = rank.earliest_activate(now)
-                    if w > t:
-                        t = w
-                if t < best:
-                    best = t
-        if best <= now:
-            best = now + self._bus_cycle
+                        if wake > t:
+                            t = wake
+                        if t < bound:
+                            bound = t
+                        # Under FR-FCFS only a class head may precharge.
+                        # Without unpromoted prefetches the bank's one
+                        # head is its first demand; with them, promotions
+                        # can make any of them a head, so count every
+                        # conflict (as for FCFS, whose oldest is picked
+                        # by priority key, not queue position).
+                        if (t < idle_until and (
+                                pfs or reqs[0].decoded.row != bank.open_row
+                                or not fr_fcfs)):
+                            idle_until = t
+                        continue
+                    else:
+                        if act_t is None:
+                            # tRRD/tFAW/wake horizon, without the present.
+                            act_t = rank.earliest_activate(0)
+                        t = bank.next_activate
+                        if act_t > t:
+                            t = act_t
+                    if t < bound:
+                        bound = t
+                    if t < idle_until:
+                        idle_until = t
+        if self._idle_tick_ok:
+            if self._refresh_enabled and self._refresh_due < idle_until:
+                idle_until = self._refresh_bound(idle_until)
+            self._idle_until = idle_until
+        self._wake_bound = bound
+        if bound <= now:
+            bound = now + self._bus_cycle
         cap = now + self._t_rc
-        return best if best < cap else cap
+        return bound if bound < cap else cap
 
     # ------------------------------------------------------------------
     # Issue logic
     # ------------------------------------------------------------------
 
-    def _active_queue(self) -> List[MemoryRequest]:
-        if self._draining_writes:
-            return self.write_queue
-        if self.read_queue:
-            return self.read_queue
-        return self.write_queue
-
-    def _update_drain_mode(self) -> None:
-        # Kept as a method for tests; _tick inlines the same logic.
-        if self._draining_writes:
-            if len(self.write_queue) <= self._low_wm:
-                self._draining_writes = False
-        elif len(self.write_queue) >= self._high_wm:
-            self._draining_writes = True
-
     def _issue_one(self, now: int) -> bool:
-        # _active_queue, inlined (this runs once or twice per tick).
         if self._draining_writes:
-            queue = self.write_queue
-        elif self.read_queue:
-            queue = self.read_queue
+            is_read = False
         else:
-            queue = self.write_queue
-        if not queue:
+            is_read = bool(self.read_queue)
+        if not (self.read_queue if is_read else self.write_queue):
             return False
         # Every command class needs a command-bus slot at ``now``; when
         # none is free nothing can issue this tick.
         if self._cmd_earliest(now) != now:
             return False
-        if self._close_page:
-            if self._issue_close_page(now, queue):
-                return True
-        elif self._issue_open_page(now, queue):
+        issue = (self._issue_close_page if self._close_page
+                 else self._issue_open_page)
+        if issue(now, is_read):
             return True
         # Drain gaps: while a write drain waits on bank timing, let a
         # ready read slip in rather than stalling the channel (and vice
         # versa when serving reads leaves the cycle idle).
-        other = self.write_queue if queue is self.read_queue else self.read_queue
-        if not other:
+        if not (self.write_queue if is_read else self.read_queue):
             return False
-        if self._close_page:
-            return self._issue_close_page(now, other)
-        return self._issue_open_page(now, other)
+        return issue(now, not is_read)
+
+    def _dequeue(self, req: MemoryRequest) -> None:
+        """Remove an issued request from its queue and the bank index."""
+        d = req.decoded
+        if req.is_read:
+            self.read_queue.remove(req)
+            bq = self._rd_banks[d.rank][d.bank]
+            index = self._rd_index
+        else:
+            self.write_queue.remove(req)
+            bq = self._wr_banks[d.rank][d.bank]
+            index = self._wr_index
+        if req.is_prefetch and not req.promoted:
+            self._unpromoted_prefetches -= 1
+            bq.pfs.remove(req)
+        else:
+            bq.reqs.remove(req)
+        rows = bq.rows
+        count = rows[d.row] - 1
+        if count:
+            rows[d.row] = count
+        else:
+            del rows[d.row]
+            if not rows:
+                banks = index[d.rank]
+                del banks[d.bank]
+                if not banks:
+                    del index[d.rank]
 
     # --- open-page (DDR3 / LPDDR2) -------------------------------------
 
-    def _issue_open_page(self, now: int, queue: List[MemoryRequest]) -> bool:
-        # Demand requests strictly outrank prefetches (paper Sec 5):
-        # prefetches only consume bandwidth no demand can use this cycle.
-        # Prefetches live only in the read queue, and its partition is
-        # cached across the (many) scans between queue mutations.
-        if self._unpromoted_prefetches and queue is self.read_queue:
-            if self._partition_version != self._queue_version:
-                self._partition = (
-                    [r for r in queue if not r.is_prefetch or r.promoted],
-                    [r for r in queue if r.is_prefetch and not r.promoted],
-                )
-                self._partition_version = self._queue_version
-            classes = self._partition
-        else:
-            classes = (queue,)
-        fr_fcfs = self._fr_fcfs
+    def _issue_open_page(self, now: int, is_read: bool) -> bool:
+        """FR-FCFS over one queue's bank index, in a single bank pass.
+
+        Demand requests (and promoted prefetches) strictly outrank
+        unpromoted prefetches (paper Sec 5): prefetches only consume
+        bandwidth no demand can use this cycle. Within a class a column-
+        ready row hit beats a PRE/ACT, so four candidates are kept, each
+        the lowest sequence number of its kind, and the first present of
+        demand CAS, demand PRE/ACT, prefetch CAS, prefetch PRE/ACT
+        issues. That is the first legal request in queue order of each
+        class and step.
+
+        PRE/ACT progress is oldest-first *per bank*: younger requests to
+        ready banks must not stall behind one blocked oldest (bank-level
+        parallelism), but only the class head of a bank may move its row,
+        which prevents precharge ping-pong. The command slot was checked
+        by _issue_one and nothing has reserved it since.
+        """
+        if not self._fr_fcfs:
+            return self._issue_fcfs(now, is_read)
         ranks = self.ranks
         rank_bus = self._rank_bus
-        t_rl = self._t_rl
-        t_wl = self._t_wl
         active = BankState.ACTIVE
-        for cls in classes:
-            if not cls:
+        if is_read:
+            index = self._rd_index
+            kind = RequestKind.READ
+            t_data = now + self._t_rl
+        else:
+            index = self._wr_index
+            kind = RequestKind.WRITE
+            t_data = now + self._t_wl
+        cas = act = pf_cas = pf_act = None
+        cas_seq = act_seq = pf_cas_seq = pf_act_seq = FAR_FUTURE
+        for r_i, banks in index.items():
+            rank = ranks[r_i]
+            if now < rank.wake_time:
                 continue
-            if fr_fcfs:
-                # FR step, inlined: the first column-ready row hit in
-                # queue order. The queue-order invariant (see
-                # :meth:`enqueue`) makes it the best (arrival_time,
-                # request_id) candidate in its demand class, so the scan
-                # stops at the first match.
-                for r in cls:
-                    d = r.decoded
-                    rank = ranks[d.rank]
-                    if now < rank.wake_time:
-                        continue
-                    bank = rank.banks[d.bank]
-                    if bank.state is not active or bank.open_row != d.row:
-                        continue
-                    if r.is_read:
-                        if now < bank.next_read:
-                            continue
-                        t_data = now + t_rl
-                    else:
-                        if now < bank.next_write:
-                            continue
-                        t_data = now + t_wl
-                    # The data bus must be free exactly when this burst
-                    # would start.
-                    bus = rank_bus[d.rank]
-                    if bus.earliest_start(t_data, r.kind, d.rank) != t_data:
-                        continue
-                    self._issue_cas(now, r, queue)
-                    return True
-            else:
-                # Strict FCFS considers only the oldest request for CAS.
-                oldest = select_oldest(cls)
-                if oldest is not None and self._cas_ready(now, oldest):
-                    self._issue_cas(now, oldest, queue)
-                    return True
-                if oldest is not None and self._progress_act_pre(now, oldest):
-                    return True
-                continue
-            # Progress PRE/ACT oldest-first *per bank*: younger requests
-            # to ready banks must not stall behind one blocked oldest
-            # (bank-level parallelism), but within a bank strict age
-            # order prevents precharge ping-pong. Queue order is already
-            # (arrival_time, request_id) order, so no sort is needed.
-            # Body of _progress_act_pre inlined: this loop visits every
-            # queued request on every non-issuing tick.
-            claimed = set()
-            for req in cls:
-                d = req.decoded
-                key = (d.rank, d.bank)
-                if key in claimed:
-                    continue
-                claimed.add(key)
-                rank = ranks[d.rank]
-                if now < rank.wake_time:
-                    continue
-                bank = rank.banks[d.bank]
+            bus_ok = None
+            can_act = None
+            for bq in banks.values():
+                bank = bq.bank
                 if bank.state is active:
-                    if (bank.open_row != d.row
-                            and now >= bank.next_precharge
-                            and self._cmd_earliest(now) == now):
-                        self._cmd_reserve(now)
-                        bank.precharge(now)
-                        rank.touch(now)
-                        if self._san is not None:
-                            self._san.note_pre(now, d.rank, d.bank)
-                        if req.first_command_time is None:
-                            req.first_command_time = now
-                        return True
-                elif (now >= bank.next_activate
-                        and rank.earliest_activate(now) <= now
-                        and self._cmd_earliest(now) == now):
-                    self._cmd_reserve(now)
-                    bank.activate(now, d.row)
-                    rank.note_activate(now)
-                    if self._san is not None:
-                        self._san.note_act(now, d.rank, d.bank, d.row)
-                    if req.first_command_time is None:
-                        req.first_command_time = now
-                    return True
+                    row = bank.open_row
+                    if (row in bq.rows and now >= (
+                            bank.next_read if is_read else bank.next_write)):
+                        # The data bus must be free exactly when this
+                        # burst would start; it is per rank and queue,
+                        # and a bus busy past the start rules it out.
+                        if bus_ok is None:
+                            bus = rank_bus[r_i]
+                            bus_ok = (t_data >= bus.free_at
+                                      and bus.earliest_start(
+                                          t_data, kind, r_i) == t_data)
+                        if bus_ok:
+                            for r in bq.reqs:
+                                if r.decoded.row == row:
+                                    if r.enqueue_seq < cas_seq:
+                                        cas = r
+                                        cas_seq = r.enqueue_seq
+                                    break
+                            for r in bq.pfs:
+                                if r.decoded.row == row:
+                                    if r.enqueue_seq < pf_cas_seq:
+                                        pf_cas = r
+                                        pf_cas_seq = r.enqueue_seq
+                                    break
+                    if now < bank.next_precharge:
+                        continue
+                else:
+                    if now < bank.next_activate:
+                        continue
+                    if can_act is None:
+                        can_act = rank.earliest_activate(now) <= now
+                    if not can_act:
+                        continue
+                    row = None
+                # This bank can take a PRE (if a class head misses the
+                # open row) or an ACT (for a class head's row).
+                reqs = bq.reqs
+                if reqs:
+                    head = reqs[0]
+                    if (head.enqueue_seq < act_seq
+                            and head.decoded.row != row):
+                        act = head
+                        act_seq = head.enqueue_seq
+                pfs = bq.pfs
+                if pfs:
+                    head = pfs[0]
+                    if (head.enqueue_seq < pf_act_seq
+                            and head.decoded.row != row):
+                        pf_act = head
+                        pf_act_seq = head.enqueue_seq
+        if cas is not None:
+            self._issue_cas(now, cas)
+            return True
+        if act is None:
+            if pf_cas is not None:
+                self._issue_cas(now, pf_cas)
+                return True
+            act = pf_act
+            if act is None:
+                return False
+        d = act.decoded
+        rank = ranks[d.rank]
+        bank = rank.banks[d.bank]
+        self._cmd_reserve(now)
+        if bank.state is active:
+            bank.precharge(now)
+            rank.touch(now)
+            if self._san is not None:
+                self._san.note_pre(now, d.rank, d.bank)
+        else:
+            bank.activate(now, d.row)
+            rank.note_activate(now)
+            if self._san is not None:
+                self._san.note_act(now, d.rank, d.bank, d.row)
+        if act.first_command_time is None:
+            act.first_command_time = now
+        return True
+
+    def _issue_fcfs(self, now: int, is_read: bool) -> bool:
+        """Strict FCFS: only the oldest request of a class may progress."""
+        queue = self.read_queue if is_read else self.write_queue
+        if is_read and self._unpromoted_prefetches:
+            classes = (
+                [r for r in queue if not r.is_prefetch or r.promoted],
+                [r for r in queue if r.is_prefetch and not r.promoted],
+            )
+        else:
+            classes = (queue,)
+        for cls in classes:
+            oldest = select_oldest(cls)
+            if oldest is None:
+                continue
+            if self._cas_ready(now, oldest):
+                self._issue_cas(now, oldest)
+                return True
+            if self._progress_act_pre(now, oldest):
+                return True
         return False
 
     def _cas_ready(self, now: int, req: MemoryRequest) -> bool:
@@ -634,8 +855,7 @@ class MemoryController:
             return False
         return self._cmd_earliest(now) == now
 
-    def _issue_cas(self, now: int, req: MemoryRequest,
-                   queue: List[MemoryRequest]) -> None:
+    def _issue_cas(self, now: int, req: MemoryRequest) -> None:
         d = req.decoded
         rank = self.ranks[d.rank]
         bank = rank.banks[d.bank]
@@ -656,11 +876,7 @@ class MemoryController:
         if req.first_command_time is None:
             req.first_command_time = now
         self._complete(req, data_start, end)
-        if req.is_prefetch and not req.promoted:
-            self._unpromoted_prefetches -= 1
-        queue.remove(req)
-        if req.is_read:
-            self._queue_version += 1
+        self._dequeue(req)
 
     def _progress_act_pre(self, now: int, req: MemoryRequest) -> bool:
         """Issue the PRE or ACT the oldest request needs, if legal."""
@@ -696,72 +912,72 @@ class MemoryController:
 
     # --- close-page (RLDRAM3) ------------------------------------------
 
-    def _issue_close_page(self, now: int, queue: List[MemoryRequest]) -> bool:
+    def _issue_close_page(self, now: int, is_read: bool) -> bool:
         """Single-command SRAM-style access with auto-precharge."""
-        # Best = lowest (demand-class, arrival_time, request_id). By the
-        # queue-order invariant (see :meth:`enqueue`) the first legal
-        # demand in queue order wins outright; the first legal
-        # unpromoted prefetch is remembered as the fallback.
-        best = None
+        # Best = lowest (demand-class, enqueue_seq) among requests whose
+        # rank and bank can take an access now: the lowest-sequence legal
+        # demand head wins, else the lowest-sequence legal prefetch head.
         ranks = self.ranks
         rank_bus = self._rank_bus
-        t_rl = self._t_rl
-        t_wl = self._t_wl
-        for req in queue:
-            d = req.decoded
-            rank = ranks[d.rank]
+        if is_read:
+            index = self._rd_index
+            kind = RequestKind.READ
+            t_data = now + self._t_rl
+        else:
+            index = self._wr_index
+            kind = RequestKind.WRITE
+            t_data = now + self._t_wl
+        best = None
+        best_seq = FAR_FUTURE
+        fallback = None
+        fallback_seq = FAR_FUTURE
+        for r_i, banks in index.items():
+            rank = ranks[r_i]
             if now < rank.wake_time or now < rank.next_act_allowed:
                 continue
-            bank = rank.banks[d.bank]
-            if now < bank.next_activate:
-                continue
-            t_data = now + (t_rl if req.is_read else t_wl)
-            bus = rank_bus[d.rank]
-            if bus.earliest_start(t_data, req.kind, d.rank) != t_data:
-                continue
-            if req.is_prefetch and not req.promoted:
-                if best is None:
-                    best = req
-                continue
-            best = req
-            break
+            bus_ok = None
+            for bq in banks.values():
+                if now < bq.bank.next_activate:
+                    continue
+                if bus_ok is None:
+                    bus = rank_bus[r_i]
+                    bus_ok = (t_data >= bus.free_at
+                              and bus.earliest_start(
+                                  t_data, kind, r_i) == t_data)
+                    if not bus_ok:
+                        break
+                reqs = bq.reqs
+                if reqs:
+                    head = reqs[0]
+                    if head.enqueue_seq < best_seq:
+                        best = head
+                        best_seq = head.enqueue_seq
+                elif best is None:
+                    head = bq.pfs[0]
+                    if head.enqueue_seq < fallback_seq:
+                        fallback = head
+                        fallback_seq = head.enqueue_seq
         if best is None:
-            return False
+            if fallback is None:
+                return False
+            best = fallback
         d = best.decoded
         rank = ranks[d.rank]
         bank = rank.banks[d.bank]
         rank.touch(now)
         self._cmd_reserve(now)
-        data_start = bank.access(now, is_write=not best.is_read)
+        data_start = bank.access(now, is_write=not is_read)
         rank.note_activate(now)
         bus = rank_bus[d.rank]
-        end = bus.reserve(data_start, best.kind, d.rank)
+        end = bus.reserve(data_start, kind, d.rank)
         if self._san is not None:
             self._san.note_access(now, d.rank, d.bank,
-                                  not best.is_read, data_start, end)
+                                  not is_read, data_start, end)
         if best.first_command_time is None:
             best.first_command_time = now
         self._complete(best, data_start, end)
-        if best.is_prefetch and not best.promoted:
-            self._unpromoted_prefetches -= 1
-        queue.remove(best)
-        if best.is_read:
-            self._queue_version += 1
+        self._dequeue(best)
         return True
-
-    def _access_ready(self, now: int, req: MemoryRequest) -> bool:
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        if now < rank.wake_time or now < rank.next_act_allowed:
-            return False
-        bank = rank.banks[d.bank]
-        if not bank.can_access(now):
-            return False
-        t_data = now + (self._t_rl if req.is_read else self._t_wl)
-        bus = self._rank_bus[d.rank]
-        if bus.earliest_start(t_data, req.kind, d.rank) != t_data:
-            return False
-        return self._cmd_earliest(now) == now
 
     # --- completion ------------------------------------------------------
 
@@ -834,6 +1050,31 @@ class MemoryController:
             self._c_refreshes.inc()
         self._refresh_due = min(next_refresh)
 
+    def _refresh_bound(self, limit: int) -> int:
+        """Lower bound (at most ``limit``) on when refresh service could
+        next change state.
+
+        A due refresh first precharges its rank's open banks, each once
+        ``next_precharge`` passes, and then refreshes once every bank is
+        closed and the rank is awake. Until then a due refresh is
+        pending and every service call is a no-op.
+        """
+        active = BankState.ACTIVE
+        for i, due in enumerate(self._next_refresh):
+            if due >= limit:
+                continue
+            rank = self.ranks[i]
+            if rank.open_banks:
+                t = min(bank.next_precharge for bank in rank.banks
+                        if bank.state is active)
+            else:
+                t = rank.wake_time
+            if due > t:
+                t = due
+            if t < limit:
+                limit = t
+        return limit
+
     def _try_powerdown(self, now: int) -> None:
         if not self._aggressive_pd:
             return
@@ -861,19 +1102,13 @@ class MemoryController:
             if rank.try_power_down(now, threshold) and self._san is not None:
                 self._san.note_power_down(now, 0)
             return
-        busy_ranks = None
         for i, rank in enumerate(ranks):
             # Already asleep: banks are closed and there is nothing to do.
             state = rank.power_state
             if state is PowerState.POWER_DOWN or state is PowerState.SELF_REFRESH:
                 continue
-            # Only sleep ranks with no queued work targeting them; the
-            # busy set is built lazily so a fully sleeping channel pays
-            # nothing per tick.
-            if busy_ranks is None:
-                busy_ranks = {r.decoded.rank for r in self.read_queue}
-                busy_ranks.update(r.decoded.rank for r in self.write_queue)
-            if i in busy_ranks:
+            # Only sleep ranks with no queued work targeting them.
+            if i in self._rd_index or i in self._wr_index:
                 continue
             # Close rows that have idled past the threshold so the rank
             # can reach precharge power-down (open-page otherwise pins
@@ -890,18 +1125,3 @@ class MemoryController:
                                                scheduled=False)
             if rank.try_power_down(now, threshold) and self._san is not None:
                 self._san.note_power_down(now, i)
-
-    def _earliest_progress_time(self, now: int, req: MemoryRequest) -> int:
-        """Lower bound on when ``req``'s next command could become legal."""
-        d = req.decoded
-        rank = self.ranks[d.rank]
-        bank = rank.banks[d.bank]
-        if self._close_page:
-            return max(bank.next_activate, rank.wake_time,
-                       rank.next_act_allowed)
-        if bank.is_row_hit(d.row):
-            col = bank.next_read if req.is_read else bank.next_write
-            return max(col, rank.wake_time)
-        if bank.state is BankState.ACTIVE:
-            return max(bank.next_precharge, rank.wake_time)
-        return max(bank.next_activate, rank.earliest_activate(now))

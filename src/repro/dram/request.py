@@ -99,6 +99,7 @@ class MemoryRequest:
         "arrival_time", "request_id", "decoded", "on_critical_word",
         "on_complete", "first_command_time", "data_start_time",
         "critical_word_time", "completion_time", "promoted", "is_read",
+        "enqueue_seq",
     )
 
     def __init__(self, kind: RequestKind, address: int,
@@ -131,6 +132,8 @@ class MemoryRequest:
         # Promotion flag: an aged prefetch is treated as a demand (Sec 5).
         self.promoted = False
         self.is_read = kind is RequestKind.READ
+        # Position in the controller queue's order, set on enqueue.
+        self.enqueue_seq = 0
 
     def __repr__(self) -> str:
         return (f"MemoryRequest(kind={self.kind}, address={self.address:#x}, "

@@ -6,12 +6,14 @@ first, then first-come-first-served progress on the oldest request.
 
 Demand requests outrank prefetches unless a prefetch has aged past the
 promotion threshold (paper Sec 5), at which point it competes as a demand.
+The controller promotes on its arrival-ordered read queue
+(``MemoryController._promote_aged``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dram.request import MemoryRequest
 
@@ -25,18 +27,6 @@ def priority_key(req: MemoryRequest) -> Tuple[int, int, int]:
     """Lower sorts first: demands/promoted prefetches, then oldest."""
     demand_class = 0 if (not req.is_prefetch or req.promoted) else 1
     return (demand_class, req.arrival_time, req.request_id)
-
-
-def promote_aged_prefetches(queue: Iterable[MemoryRequest], now: int,
-                            age_threshold: int) -> int:
-    """Promote prefetches older than ``age_threshold``; returns count."""
-    promoted = 0
-    for req in queue:
-        if req.is_prefetch and not req.promoted:
-            if now - req.arrival_time >= age_threshold:
-                req.promoted = True
-                promoted += 1
-    return promoted
 
 
 def select_row_hit(queue: List[MemoryRequest],

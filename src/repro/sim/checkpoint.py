@@ -2,7 +2,7 @@
 
 A checkpoint is one file::
 
-    {"version": 1, "cache_key": ..., "benchmark": ..., "reads": ...,
+    {"version": 2, "cache_key": ..., "benchmark": ..., "reads": ...,
      "executed": ..., "request_ids": ..., "payload_bytes": ...,
      "payload_sha256": ...}\\n
     <pickle of the whole SimulationSystem>
@@ -46,7 +46,11 @@ from typing import Optional, Tuple
 from repro.dram.request import request_id_allocator
 from repro.store import atomic_write_bytes, quarantine_file
 
-CHECKPOINT_VERSION = 1
+# Bumped whenever a pickled simulator class changes shape. Version 2:
+# the memory controller gained its per-bank queue index; a version-1
+# snapshot would unpickle without those slots and fail at resume, so
+# it is quarantined and the run recomputes instead.
+CHECKPOINT_VERSION = 2
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"

@@ -178,6 +178,28 @@ def test_version_mismatch_quarantines(tmp_path, sim_config):
     _assert_quarantined(path, "version")
 
 
+def test_version_1_snapshot_quarantined_and_recomputed(tmp_path, sim_config,
+                                                       baseline):
+    """A snapshot from before the controller's bank index (version 1)
+    lacks its slots; it must be quarantined, never resumed."""
+    assert CHECKPOINT_VERSION == 2
+    path = checkpoint_path(tmp_path, "key-1")
+    _valid_checkpoint(tmp_path, sim_config).rename(path)
+    header_line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["version"] = 1
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="version 1 != 2"):
+        load_checkpoint(path, expect_cache_key="key-1")
+    corrupt = path.with_suffix(".ckpt.corrupt")
+    assert corrupt.exists() and not path.exists()
+    corrupt.rename(path)
+    result = run_benchmark_checkpointed(
+        "mcf", sim_config, "key-1", tmp_path, every_reads=EVERY)
+    assert result_bytes(result) == baseline
+    assert corrupt.exists()
+
+
 def test_cache_key_mismatch_quarantines(tmp_path, sim_config):
     path = _valid_checkpoint(tmp_path, sim_config)
     with pytest.raises(CheckpointError, match="cache key mismatch"):

@@ -79,6 +79,10 @@ class TestAggressivePowerDown:
 
 
 class TestProgressBounds:
+    """``_next_wake_time`` keeps two per-bank bounds: ``_wake_bound``
+    (the wake schedule) and ``_idle_until``, which also waits for the
+    data bus and below which a tick is provably idle."""
+
     def test_earliest_progress_time_row_hit(self):
         events, mc = make(device=DDR3_DEVICE, timing=DDR3,
                           refresh_enabled=False)
@@ -86,8 +90,14 @@ class TestProgressBounds:
         mc.enqueue(req)
         complete(events, req)
         hit = read(bank=0, row=1, column=3)
-        t = mc._earliest_progress_time(events.now, hit)
+        mc.enqueue(hit)
+        t = mc._next_wake_time(events.now)
         assert t <= events.now + DDR3.t_ccd
+        bank = mc.ranks[0].banks[0]
+        assert mc._wake_bound == max(bank.next_read, mc.ranks[0].wake_time)
+        bus = mc.channel.data_buses[0]
+        bus_ready = bus.earliest_start(0, RequestKind.READ, 0) - DDR3.t_rl
+        assert mc._idle_until == max(mc._wake_bound, bus_ready)
 
     def test_earliest_progress_time_conflict(self):
         events, mc = make(device=DDR3_DEVICE, timing=DDR3,
@@ -96,9 +106,13 @@ class TestProgressBounds:
         mc.enqueue(req)
         complete(events, req)
         conflict = read(bank=0, row=2)
-        t = mc._earliest_progress_time(events.now, conflict)
+        mc.enqueue(conflict)
+        mc._next_wake_time(events.now)
         bank = mc.ranks[0].banks[0]
-        assert t == max(bank.next_precharge, mc.ranks[0].wake_time)
+        assert mc._wake_bound == max(bank.next_precharge,
+                                     mc.ranks[0].wake_time)
+        # A precharge needs no data bus: both bounds agree.
+        assert mc._idle_until == mc._wake_bound
 
 
 class TestBusyAccounting:

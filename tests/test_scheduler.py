@@ -1,12 +1,16 @@
 """Scheduler policy helpers."""
 
+from repro.dram.channel import Channel
+from repro.dram.controller import ControllerConfig, MemoryController
+from repro.dram.device import DDR3_DEVICE
 from repro.dram.request import DecodedAddress, MemoryRequest, RequestKind
 from repro.dram.scheduler import (
     priority_key,
-    promote_aged_prefetches,
     select_oldest,
     select_row_hit,
 )
+from repro.dram.timing import DDR3_TIMING, TimingSet
+from repro.util.events import EventQueue
 
 
 def req(arrival=0, is_prefetch=False, promoted=False):
@@ -36,19 +40,36 @@ class TestPriorityKey:
 
 
 class TestPromotion:
+    """Age-based promotion, as the controller runs it on its read queue."""
+
+    @staticmethod
+    def controller(age_threshold):
+        timing = TimingSet(DDR3_TIMING)
+        return MemoryController(
+            device=DDR3_DEVICE, timing=timing, channel=Channel(timing),
+            num_ranks=1, events=EventQueue(),
+            config=ControllerConfig(prefetch_age_threshold=age_threshold,
+                                    refresh_enabled=False))
+
     def test_promotes_only_aged(self):
-        young = req(arrival=900, is_prefetch=True)
-        old = req(arrival=0, is_prefetch=True)
-        count = promote_aged_prefetches([young, old], now=1000,
-                                        age_threshold=500)
-        assert count == 1
+        mc = self.controller(age_threshold=500)
+        old = req(is_prefetch=True)
+        young = req(is_prefetch=True)
+        assert mc.enqueue(old) and mc.enqueue(young)
+        young.arrival_time = 900
+        mc._promote_aged(1000)
         assert old.promoted and not young.promoted
+        assert mc._unpromoted_prefetches == 1
+        # The next promotion falls due when the young prefetch ages out.
+        assert mc._promote_due == 900 + 500
 
     def test_demands_untouched(self):
-        demand = req(arrival=0)
-        assert promote_aged_prefetches([demand], now=10_000,
-                                       age_threshold=1) == 0
+        mc = self.controller(age_threshold=1)
+        demand = req()
+        assert mc.enqueue(demand)
+        mc._promote_aged(10_000)
         assert not demand.promoted
+        assert mc._unpromoted_prefetches == 0
 
 
 class TestSelection:
