@@ -21,7 +21,7 @@ from repro.dram.controller import ControllerConfig
 from repro.dram.device import DRAMKind, LPDDR2_DEVICE, PagePolicy
 from repro.dram.scheduler import SchedulingPolicy
 from repro.memsys.homogeneous import HomogeneousConfig, HomogeneousMemory
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.system import SimulationSystem, make_traces, prewarm_l2
 from repro.workloads.profiles import profile_for
 
@@ -30,8 +30,8 @@ READS = 1500
 
 
 def run_custom(memory_builder=None, uncore_override=None,
-               benchmark=BENCH, memory_kind=MemoryKind.DDR3):
-    config = SimConfig(memory=memory_kind, target_dram_reads=READS)
+               benchmark=BENCH, memory="ddr3"):
+    config = SimConfig(memory=memory, target_dram_reads=READS)
     if uncore_override is not None:
         config = dataclasses.replace(config, uncore=uncore_override)
     profile = profile_for(benchmark)
@@ -69,7 +69,7 @@ def test_ablation_lpddr2_page_policy(benchmark):
         device = dataclasses.replace(LPDDR2_DEVICE, page_policy=policy)
         return run_custom(memory_builder=lambda ev: HomogeneousMemory(
             ev, HomogeneousConfig(kind=DRAMKind.LPDDR2), device=device),
-            memory_kind=MemoryKind.LPDDR2)
+            memory="lpddr2")
 
     def body():
         return run(PagePolicy.OPEN), run(PagePolicy.CLOSE)
@@ -92,7 +92,7 @@ def test_ablation_fast_subranking(benchmark):
         return run_custom(
             memory_builder=lambda ev: CriticalWordMemory(
                 ev, CWFConfig(fast_ranks_per_subchannel=ranks)),
-            memory_kind=MemoryKind.RL)
+            memory="rl")
 
     def body():
         return run(4), run(1)
@@ -113,7 +113,7 @@ def test_ablation_shared_command_bus(benchmark):
         return run_custom(
             memory_builder=lambda ev: CriticalWordMemory(
                 ev, CWFConfig(shared_command_bus=shared)),
-            memory_kind=MemoryKind.RL)
+            memory="rl")
 
     def body():
         return run(True), run(False)
@@ -133,8 +133,8 @@ def test_ablation_mshr_split_wake(benchmark):
         prefetcher=PrefetcherConfig(), critical_word_wakeup=False)
 
     def body():
-        with_split = run_custom(memory_kind=MemoryKind.RL)
-        without = run_custom(memory_kind=MemoryKind.RL,
+        with_split = run_custom(memory="rl")
+        without = run_custom(memory="rl",
                              uncore_override=no_split)
         return with_split, without
 

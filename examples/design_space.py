@@ -11,20 +11,20 @@ Usage: python examples/design_space.py [benchmark] (default: mcf)
 
 import sys
 
-from repro import MemoryKind, SimConfig, run_benchmark
+from repro import SimConfig, run_benchmark
 from repro.workloads.profiles import PROFILES
 
 ORGANISATIONS = [
-    MemoryKind.DDR3,
-    MemoryKind.RLDRAM3,
-    MemoryKind.LPDDR2,
-    MemoryKind.RD,
-    MemoryKind.RL,
-    MemoryKind.DL,
-    MemoryKind.RL_ADAPTIVE,
-    MemoryKind.RL_ORACLE,
-    MemoryKind.RL_RANDOM,
-    MemoryKind.PAGE_PLACEMENT,
+    "ddr3",
+    "rldram3",
+    "lpddr2",
+    "rd",
+    "rl",
+    "dl",
+    "rl_adaptive",
+    "rl_oracle",
+    "rl_random",
+    "page_placement",
 ]
 
 
@@ -43,11 +43,11 @@ def main() -> None:
     print("-" * len(header))
 
     baseline = None
-    for kind in ORGANISATIONS:
-        result = run_benchmark(benchmark, config.with_memory(kind))
+    for memory in ORGANISATIONS:
+        result = run_benchmark(benchmark, config.with_memory(memory))
         if baseline is None:
             baseline = result
-        print(f"{kind.value:<16} "
+        print(f"{memory:<16} "
               f"{result.speedup_over(baseline):>8.3f} "
               f"{result.avg_critical_latency:>9.0f} "
               f"{result.avg_fill_latency:>9.0f} "

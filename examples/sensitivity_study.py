@@ -15,7 +15,6 @@ Usage: python examples/sensitivity_study.py [benchmark]
 
 import sys
 
-from repro.sim.config import MemoryKind
 from repro.sweep import sweep
 
 
@@ -32,9 +31,9 @@ def main() -> None:
             values = [v for v in values if v > 0]
         print(f"=== {parameter} ===")
         base = sweep(benchmark, parameter, values,
-                     memory=MemoryKind.DDR3, target_dram_reads=reads)
+                     memory="ddr3", target_dram_reads=reads)
         rl = sweep(benchmark, parameter, values,
-                   memory=MemoryKind.RL, target_dram_reads=reads)
+                   memory="rl", target_dram_reads=reads)
         print(f"{parameter:>16} {'DDR3 thr':>9} {'RL thr':>9} "
               f"{'RL gain':>8}")
         for b, r in zip(base.rows, rl.rows):

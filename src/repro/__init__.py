@@ -22,7 +22,7 @@ and :func:`register_backend` adds new ones (see DESIGN.md, "Adding a
 memory organisation").
 """
 
-from repro.sim.config import MemoryKind, SimConfig, TABLE1
+from repro.sim.config import SimConfig, TABLE1
 from repro.sim.system import SimResult, SimulationSystem, run_benchmark, make_traces
 from repro.core.cwf import CriticalWordMemory, CWFConfig, CWFPolicy, HeteroPair
 from repro.core.criticality import CriticalityProfiler
@@ -40,7 +40,7 @@ from repro.workloads.profiles import PROFILES, benchmark_names, profile_for
 __version__ = "1.0.0"
 
 __all__ = [
-    "MemoryKind", "SimConfig", "TABLE1",
+    "SimConfig", "TABLE1",
     "SimResult", "SimulationSystem", "run_benchmark", "make_traces",
     "CriticalWordMemory", "CWFConfig", "CWFPolicy", "HeteroPair",
     "CriticalityProfiler", "PagePlacementMemory", "HomogeneousMemory",

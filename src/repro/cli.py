@@ -80,25 +80,34 @@ from repro.telemetry import (
 )
 
 
+def scale_args_parent() -> argparse.ArgumentParser:
+    """Parent parser for the run-scale flags that the experiment, run
+    and serve commands share (``parents=[scale_args_parent()]``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--reads", type=int, default=None,
+                        help="target demand DRAM fetches per run")
+    parent.add_argument("--benchmarks", default=None,
+                        help="comma-separated benchmark subset "
+                             "(default: whole suite)")
+    parent.add_argument("--cache", default=None,
+                        help="result-cache directory, or 'off'")
+    parent.add_argument("--jobs", type=int, default=None,
+                        help="parallel worker processes (default REPRO_JOBS "
+                             "or 1; 0 = one per CPU)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
-        description="Regenerate tables and figures from the paper.")
+        description="Regenerate tables and figures from the paper.",
+        parents=[scale_args_parent()])
     from repro import __version__
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     parser.add_argument("experiment",
                         help="experiment id(s), comma-separated "
                              "(see 'list'), or 'all'/'list'")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches per run")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset")
-    parser.add_argument("--cache", default=None,
-                        help="cache directory, or 'off'")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default REPRO_JOBS "
-                             "or 1; 0 = one per CPU)")
     add_resilience_args(parser)
     parser.add_argument("--output", default=None,
                         help="append formatted tables to this file")
@@ -413,29 +422,19 @@ def cmd_list_backends(argv: List[str]) -> int:
     return 0
 
 
-def cmd_run(argv: List[str]) -> int:
-    """Ad-hoc runs: benchmarks x memory backends, one result row each."""
+def run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro run",
-        description="Run benchmarks on one or more memory backends.")
+        description="Run benchmarks on one or more memory backends.",
+        parents=[scale_args_parent()])
     parser.add_argument("--memory", default="ddr3",
                         help="comma-separated backend names "
                              "(see 'repro list-backends')")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset "
-                             "(default: whole suite)")
     parser.add_argument("--workload", default=None,
                         help="comma-separated workload names — any "
                              "registry form, including trace:<path> "
                              "replays (overrides --benchmarks; see "
                              "'repro list-workloads')")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="target demand DRAM fetches per run")
-    parser.add_argument("--cache", default=None,
-                        help="cache directory, or 'off'")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default REPRO_JOBS "
-                             "or 1; 0 = one per CPU)")
     add_resilience_args(parser)
     add_checkpoint_args(parser)
     parser.add_argument("--check", action="store_true",
@@ -445,7 +444,12 @@ def cmd_run(argv: List[str]) -> int:
                              "exit 1 on any violation")
     parser.add_argument("--json", action="store_true",
                         help="emit the table as structured JSON")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def cmd_run(argv: List[str]) -> int:
+    """Ad-hoc runs: benchmarks x memory backends, one result row each."""
+    args = run_parser().parse_args(argv)
     memories = _resolve_memories(
         [m for m in args.memory.split(",") if m.strip()])
 
@@ -700,25 +704,17 @@ def cmd_profile(argv: List[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_serve(argv: List[str]) -> int:
-    """Long-lived job server over a persistent worker pool."""
+def serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve RunSpec batches over HTTP: POST /v1/jobs, "
                     "GET /v1/jobs/<id>, /healthz, /metrics. SIGTERM "
-                    "drains in-flight work gracefully.")
+                    "drains in-flight work gracefully. --reads and "
+                    "--benchmarks are per-job defaults that a job may "
+                    "override; --jobs sizes the persistent worker pool.",
+        parents=[scale_args_parent()])
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the persistent pool "
-                             "(default REPRO_JOBS or 1; 0 = one per CPU)")
-    parser.add_argument("--reads", type=int, default=None,
-                        help="default target demand DRAM fetches per run "
-                             "(jobs may override)")
-    parser.add_argument("--benchmarks", default=None,
-                        help="default benchmark subset (jobs may override)")
-    parser.add_argument("--cache", default=None,
-                        help="result-cache directory, or 'off'")
     parser.add_argument("--cache-budget", default=None, metavar="SIZE",
                         help="byte budget for the result-cache store "
                              "(e.g. 64M); past it the least-recently-"
@@ -746,7 +742,12 @@ def cmd_serve(argv: List[str]) -> int:
                              "state directory at startup")
     parser.add_argument("--verbose", action="store_true",
                         help="log one line per HTTP request")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def cmd_serve(argv: List[str]) -> int:
+    """Long-lived job server over a persistent worker pool."""
+    args = serve_parser().parse_args(argv)
 
     from repro.service import JobScheduler, JobStore, make_server, serve_until_signal
     from repro.service.store import DEFAULT_STATE_DIR

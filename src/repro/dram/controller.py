@@ -182,7 +182,7 @@ class MemoryController:
         "device", "timing", "channel", "events", "config", "name",
         "ranks", "rank_to_bus", "read_queue", "write_queue", "stats",
         "_draining_writes", "_tick_event", "_next_refresh",
-        "_refresh_pending", "registry", "tracer",
+        "registry", "tracer",
         "_h_queue_lat", "_h_critical_lat", "_h_total_lat", "_h_occupancy",
         "_c_refreshes", "_c_promotions",
         # Precomputed hot-path constants and fast-path state.
@@ -232,7 +232,6 @@ class MemoryController:
             (i + 1) * max(1, timing.t_refi // max(1, num_ranks))
             for i in range(num_ranks)
         ]
-        self._refresh_pending = [False] * num_ranks
         # Telemetry handles default to the shared null sink; an
         # un-instrumented run pays only a single identity check.
         self.registry: Optional[MetricsRegistry] = None
@@ -1023,7 +1022,6 @@ class MemoryController:
         for i, rank in enumerate(self.ranks):
             if now < next_refresh[i]:
                 continue
-            self._refresh_pending[i] = True
             # Close any open banks as they become precharge-legal.
             if rank.open_banks:
                 for bank in rank.banks:
@@ -1045,7 +1043,6 @@ class MemoryController:
                 self._san.note_refresh(now, i, until)
             next_refresh[i] = max(next_refresh[i] + self._t_refi,
                                   now + self._t_refi // 2)
-            self._refresh_pending[i] = False
             self.stats.refreshes += 1
             self._c_refreshes.inc()
         self._refresh_due = min(next_refresh)

@@ -29,20 +29,6 @@ def priority_key(req: MemoryRequest) -> Tuple[int, int, int]:
     return (demand_class, req.arrival_time, req.request_id)
 
 
-def select_row_hit(queue: List[MemoryRequest],
-                   is_cas_ready) -> Optional[MemoryRequest]:
-    """FR step: the best request whose CAS could issue right now."""
-    best: Optional[MemoryRequest] = None
-    best_key: Optional[Tuple[int, int, int]] = None
-    for req in queue:
-        if not is_cas_ready(req):
-            continue
-        key = priority_key(req)
-        if best_key is None or key < best_key:
-            best, best_key = req, key
-    return best
-
-
 def select_oldest(queue: List[MemoryRequest]) -> Optional[MemoryRequest]:
     """FCFS step: highest-priority oldest request."""
     best: Optional[MemoryRequest] = None

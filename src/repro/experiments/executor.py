@@ -246,7 +246,7 @@ class ParallelExecutor:
         pending: List[RunSpec] = []
         for spec in ordered:
             # A recalled result has no telemetry to contribute, so an
-            # active session forces real runs (same rule as run_cached).
+            # active session forces real runs.
             cached = (self.cache.get(spec_cache_key(spec, config))
                       if session is None else None)
             if cached is not None:

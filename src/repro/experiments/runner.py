@@ -6,8 +6,7 @@ plus a digest of the fully resolved simulation config. Figure modules
 declare their spec lists up front, resolve them through
 :mod:`repro.experiments.executor` (serial or process-pool parallel),
 and return an :class:`ExperimentTable` that formats itself for the
-console and for EXPERIMENTS.md. :func:`run_cached` remains as the
-single-run convenience wrapper over the same cache.
+console and for EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -17,15 +16,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.resilience import MISSING
-from repro.experiments.specs import RunSpec, execute_spec, spec_cache_key
 from repro.sim.config import SimConfig
 from repro.sim.system import SimResult
-from repro.store import ArtifactStore, key_digest, parse_size, quarantine_file
+from repro.store import ArtifactStore, parse_size
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.session import active_session, count
+from repro.telemetry.session import count
 from repro.workloads.profiles import benchmark_names
 
 DEFAULT_READS = 2000
@@ -131,11 +129,6 @@ class ResultCache:
     digests are re-verified on every read; bit rot is quarantined as
     ``<file>.corrupt``, never returned.
 
-    The pre-store flat layout (``<keydigest>.json`` at the directory
-    root, cache-key versions ≤ v8) keeps resolving: a flat entry found
-    on a miss is validated, migrated into the store, and served as a
-    hit — no recompute, no flag day.
-
     With ``budget_bytes`` set the tier is size-bounded: writes past the
     budget LRU-evict the least-recently-accessed unpinned entries (the
     access journal, not mtime, orders them). An evicted entry reads as
@@ -170,21 +163,13 @@ class ResultCache:
             return None
         return self.store.index_path(key)
 
-    def _legacy_path(self, key: str) -> Optional[Path]:
-        """Where the pre-store flat layout kept this key's entry."""
-        if self.directory is None:
-            return None
-        return self.directory / f"{key_digest(key)}.json"
-
     def contains(self, key: str) -> bool:
         """Cheap existence probe (no read, no counters): does an entry
         for ``key`` sit on disk? Used by the service scheduler to count
         cache coalescing without paying a JSON load per submit."""
         if self.store is None:
             return False
-        legacy = self._legacy_path(key)
-        return self.store.contains(key) or (legacy is not None
-                                            and legacy.exists())
+        return self.store.contains(key)
 
     def get(self, key: str) -> Optional[SimResult]:
         """Recall a cached result; corruption quarantines the entry.
@@ -195,8 +180,7 @@ class ResultCache:
         telemetry as ``cache.quarantined``) so the evidence survives
         for a post-mortem instead of being silently re-clobbered by the
         re-run's :meth:`put`. An evicted or never-written entry is a
-        plain miss; a flat legacy entry is migrated into the store and
-        served as a hit.
+        plain miss.
         """
         if self.store is None:
             count(self.registry, "cache.misses")
@@ -207,8 +191,9 @@ class ResultCache:
         if raw is None:
             if quarantined.value > quarantined_before:
                 count(self.registry, "cache.quarantined")
-                return None
-            return self._get_legacy(key)
+            else:
+                count(self.registry, "cache.misses")
+            return None
         result = self._parse(key, raw)
         if result is None:
             # Readable bytes, wrong shape: schema drift. Quarantine the
@@ -236,41 +221,6 @@ class ResultCache:
         except (TypeError, ValueError):
             return None
 
-    def _get_legacy(self, key: str) -> Optional[SimResult]:
-        """Resolve (and migrate) a pre-store flat-layout entry."""
-        path = self._legacy_path(key)
-        if path is None or not path.exists():
-            count(self.registry, "cache.misses")
-            return None
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            count(self.registry, "cache.misses")
-            return None
-        try:
-            data = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            quarantine_file(path)
-            count(self.registry, "cache.quarantined")
-            return None
-        if not isinstance(data, dict):
-            quarantine_file(path)
-            count(self.registry, "cache.quarantined")
-            return None
-        if data.get("__key__") != key:
-            count(self.registry, "cache.misses")  # digest collision
-            return None
-        result = self._parse(key, raw)
-        if result is None:
-            quarantine_file(path)
-            count(self.registry, "cache.quarantined")
-            return None
-        # Migrate: same bytes, new home; the flat file retires.
-        self.store.put_bytes(key, raw)
-        path.unlink(missing_ok=True)
-        count(self.registry, "cache.hits")
-        return result
-
     def put(self, key: str, result: SimResult) -> None:
         if self.store is None:
             return
@@ -285,50 +235,6 @@ class ResultCache:
         if self.store is None:
             return None
         return self.store.gc(max_bytes=max_bytes, dry_run=dry_run)
-
-
-_caches: Dict[Tuple[str, Optional[int]], ResultCache] = {}
-
-
-def _cache_for(config: ExperimentConfig) -> ResultCache:
-    budget = getattr(config, "cache_budget_bytes", None)
-    key = (config.cache_dir or "__off__", budget)
-    if key not in _caches:
-        _caches[key] = ResultCache(config.cache_dir, budget_bytes=budget)
-    return _caches[key]
-
-
-def run_cached(benchmark: str, memory: str,
-               config: ExperimentConfig,
-               variant: str = "",
-               runner: Optional[Callable[[], SimResult]] = None) -> SimResult:
-    """Run (or recall) one benchmark on one memory organisation.
-
-    ``memory`` is a registry backend name (the deprecated ``MemoryKind``
-    enum is still accepted and canonicalised by :class:`RunSpec`).
-
-    ``variant`` distinguishes non-default setups (e.g. "noprefetch");
-    ``runner`` overrides the default run for such variants. New code
-    should declare a :class:`~repro.experiments.specs.RunSpec` and go
-    through the executor instead; this wrapper shares the same cache
-    keys, so both paths recall each other's results.
-    """
-    spec = RunSpec(benchmark=benchmark, memory=memory, variant=variant)
-    key = spec_cache_key(spec, config)
-    cache = _cache_for(config)
-    # With an active telemetry session a recalled result would have no
-    # metrics or trace spans to contribute, so force a real run (the
-    # fresh result still refreshes the cache for later plain runs).
-    if active_session() is None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    if runner is not None:
-        result = runner()
-    else:
-        result = execute_spec(spec, config)
-    cache.put(key, result)
-    return result
 
 
 @dataclass

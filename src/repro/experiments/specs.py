@@ -1,8 +1,8 @@
 """Declarative run specifications for the experiment pipeline.
 
-A :class:`RunSpec` names one simulation — ``(benchmark, memory kind,
-variant, config overrides, named runner)`` — without executing it.
-Because specs are frozen, hashable, and picklable, the scheduler can
+A :class:`RunSpec` names one simulation — ``(benchmark, memory
+backend, variant, config overrides, named runner)`` — without executing
+it. Because specs are frozen, hashable, and picklable, the scheduler can
 
 * dedupe runs shared between figures (every figure needs the DDR3
   baseline; it is simulated once per suite invocation),
@@ -18,14 +18,14 @@ applied to the resolved :class:`~repro.sim.config.SimConfig`) or as a
 
 Cache keys (``v8``) embed a digest of the fully resolved ``SimConfig``
 so any config-knob change — present or future — invalidates stale
-entries instead of silently recalling them. ``v7`` switched the memory
-axis from the closed ``MemoryKind`` enum to registry names; ``v8`` did
-the same for the workload axis: ``benchmark`` is a canonical
-workload-registry name (``mcf``/``synthetic:mcf`` coalesce, and
-``trace:<path>`` names recorded replays), and the key carries the
-workload's *content token* — a profile-parameter digest for synthetic
-sources, the file sha256 for trace files — so editing a trace file or
-recalibrating a profile invalidates its cached results.
+entries instead of silently recalling them. ``v7`` keyed the memory
+axis by backend-registry names; ``v8`` did the same for the workload
+axis: ``benchmark`` is a canonical workload-registry name
+(``mcf``/``synthetic:mcf`` coalesce, and ``trace:<path>`` names
+recorded replays), and the key carries the workload's *content token* —
+a profile-parameter digest for synthetic sources, the file sha256 for
+trace files — so editing a trace file or recalibrating a profile
+invalidates its cached results.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ class RunSpec:
 
     ``benchmark`` is a workload-registry name and ``memory`` a memory-
     backend registry name; both canonicalise at construction (so
-    ``RunSpec("synthetic:mcf", "rl") == RunSpec("mcf", MemoryKind.RL)``
-    and both hash alike as dict keys), and an unknown name on either
-    axis fails here with a did-you-mean, never in a worker later. ``overrides`` are ``(parameter, value)``
-    pairs applied to the resolved :class:`SimConfig` through
+    ``RunSpec("synthetic:mcf", "rl") == RunSpec("mcf", "RL")`` and both
+    hash alike as dict keys), and an unknown name on either axis fails
+    here with a did-you-mean, never in a worker later. ``overrides`` are
+    ``(parameter, value)`` pairs applied to the resolved :class:`SimConfig` through
     :func:`apply_parameter`; ``runner``/``params`` select a registered
     named runner for setups a config transform cannot express (offline
     profiling passes, live power-model reports). ``base`` carries a

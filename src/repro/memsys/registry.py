@@ -153,14 +153,12 @@ def ensure_builtin_backends() -> None:
 
 
 def resolve_name(name) -> str:
-    """Canonical backend name for ``name`` (str, alias, or legacy enum).
+    """Canonical backend name for ``name`` (canonical name or alias).
 
     Raises :class:`UnknownBackendError` — with close-match suggestions —
     when nothing is registered under the name.
     """
     ensure_builtin_backends()
-    # Accept the deprecated MemoryKind enum (and any str-valued enum).
-    name = getattr(name, "value", name)
     if not isinstance(name, str):
         raise BackendError(
             f"memory backend must be a name, got {type(name).__name__}")

@@ -49,8 +49,9 @@ from repro.store import atomic_write_bytes, quarantine_file
 # Bumped whenever a pickled simulator class changes shape. Version 2:
 # the memory controller gained its per-bank queue index; a version-1
 # snapshot would unpickle without those slots and fail at resume, so
-# it is quarantined and the run recomputes instead.
-CHECKPOINT_VERSION = 2
+# it is quarantined and the run recomputes instead. Version 3: the
+# controller dropped its unread per-rank refresh-pending slot.
+CHECKPOINT_VERSION = 3
 
 ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 ENV_CHECKPOINT_EVERY = "REPRO_CHECKPOINT_EVERY"

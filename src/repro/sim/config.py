@@ -6,17 +6,10 @@ memory organisation, validated at construction time.
 :func:`build_memory` delegates to the registry, so new organisations —
 HMC cubes, future unterminated-LPDRAM variants, user plugins — need no
 changes here.
-
-:class:`MemoryKind` remains as a **deprecated** thin shim over the
-registry names: existing call sites (and pickled artefacts) that pass
-``MemoryKind.RL`` keep working because every consumer canonicalises
-through :func:`repro.memsys.registry.resolve_name`. New code should use
-plain strings (``"rl"``, ``"hmc_cwf"``, ...).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -26,27 +19,6 @@ from repro.cpu.uncore import UncoreConfig
 from repro.memsys.base import MemorySystem
 from repro.memsys.registry import create_memory, resolve_name
 from repro.util.events import EventQueue
-
-
-class MemoryKind(enum.Enum):
-    """Deprecated: the pre-registry closed enum of organisations.
-
-    Kept so existing call sites and cached artefacts keep working; each
-    member's value is the corresponding registry name. Prefer plain
-    registry names — ``MemoryKind`` cannot name backends registered
-    after this module was written (e.g. the HMC organisations).
-    """
-
-    DDR3 = "ddr3"                    # baseline: 4 x 72-bit DDR3
-    RLDRAM3 = "rldram3"              # Fig 1 homogeneous
-    LPDDR2 = "lpddr2"                # Fig 1 homogeneous
-    RD = "rd"                        # CWF: RLDRAM3 + DDR3
-    RL = "rl"                        # CWF: RLDRAM3 + LPDDR2 (flagship)
-    DL = "dl"                        # CWF: DDR3 + LPDDR2
-    RL_ADAPTIVE = "rl_adaptive"      # Sec 4.2.5
-    RL_ORACLE = "rl_oracle"         # Sec 6.1.2 upper bound
-    RL_RANDOM = "rl_random"          # Sec 6.1.1 control
-    PAGE_PLACEMENT = "page_placement"  # Sec 7.1
 
 
 @dataclass(frozen=True)
@@ -64,14 +36,14 @@ class SimConfig:
     target_dram_reads: int = 12000
 
     def __post_init__(self) -> None:
-        # Canonicalise eagerly (accepting aliases and the deprecated
-        # MemoryKind enum) so an unknown organisation fails at config
-        # construction, not mid-run, and equal configs hash equally.
+        # Canonicalise eagerly (accepting aliases) so an unknown
+        # organisation fails at config construction, not mid-run, and
+        # equal configs hash equally.
         object.__setattr__(self, "memory", resolve_name(self.memory))
 
-    def with_memory(self, memory) -> "SimConfig":
-        """A copy running on ``memory`` (registry name, alias, or enum)."""
-        return replace(self, memory=resolve_name(memory))
+    def with_memory(self, memory: str) -> "SimConfig":
+        """A copy running on ``memory`` (registry name or alias)."""
+        return replace(self, memory=memory)
 
     def without_prefetcher(self) -> "SimConfig":
         uncore = UncoreConfig(

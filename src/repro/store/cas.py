@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -175,7 +174,7 @@ class ArtifactStore(_StoreBase):
 
     Layout under ``directory``::
 
-        index/<keydigest>.json   {"key", "digest", "size", "created_unix"}
+        index/<keydigest>.json   {"key", "digest", "size"}
         blobs/<aa>/<sha256>.blob payload bytes (shared across keys)
         journal.log              "<keydigest>\\n" per access, oldest first
         locks/<keydigest>.lock   advisory flock for writers of one key
@@ -253,8 +252,7 @@ class ArtifactStore(_StoreBase):
             count(self.registry, self.prefix + "dedup_hits")
         else:
             atomic_write_bytes(blob, data, durable=self.durable)
-        entry = {"key": key, "digest": digest, "size": len(data),
-                 "created_unix": time.time()}
+        entry = {"key": key, "digest": digest, "size": len(data)}
         kd = key_digest(key)
         with file_lock(self.locks_dir / f"{kd}.lock"):
             atomic_write_bytes(self.index_path(key),

@@ -178,18 +178,20 @@ def test_version_mismatch_quarantines(tmp_path, sim_config):
     _assert_quarantined(path, "version")
 
 
-def test_version_1_snapshot_quarantined_and_recomputed(tmp_path, sim_config,
-                                                       baseline):
-    """A snapshot from before the controller's bank index (version 1)
-    lacks its slots; it must be quarantined, never resumed."""
-    assert CHECKPOINT_VERSION == 2
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_snapshot_quarantined_and_recomputed(tmp_path, sim_config,
+                                                         baseline, version):
+    """A snapshot from before a controller slot change (version 1: no
+    bank index; version 2: the refresh-pending slot) does not match the
+    pickled shape; it must be quarantined, never resumed."""
+    assert CHECKPOINT_VERSION == 3
     path = checkpoint_path(tmp_path, "key-1")
     _valid_checkpoint(tmp_path, sim_config).rename(path)
     header_line, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(header_line)
-    header["version"] = 1
+    header["version"] = version
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(CheckpointError, match="version 1 != 2"):
+    with pytest.raises(CheckpointError, match=f"version {version} != 3"):
         load_checkpoint(path, expect_cache_key="key-1")
     corrupt = path.with_suffix(".ckpt.corrupt")
     assert corrupt.exists() and not path.exists()

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import build_parser, main, make_config
+from repro.cli import (
+    build_parser,
+    main,
+    make_config,
+    run_parser,
+    scale_args_parent,
+    serve_parser,
+)
 
 
 class TestParser:
@@ -19,6 +26,49 @@ class TestParser:
         assert config.target_dram_reads == 500
         assert config.benchmarks == ("mcf", "lbm")
         assert config.cache_dir is None
+
+
+def option_strings(parser):
+    return {opt for action in parser._actions
+            for opt in action.option_strings}
+
+
+class TestSharedScaleArgs:
+    """--reads/--benchmarks/--cache/--jobs are declared once, in
+    scale_args_parent(), and every command that takes them inherits
+    the same actions."""
+
+    SHARED = {"--reads", "--benchmarks", "--cache", "--jobs"}
+    RESILIENCE = {"--retries", "--timeout", "--keep-going", "--fail-fast",
+                  "--degrade-serial"}
+    # Each command's full option set: sharing the flags adds and drops
+    # none.
+    EXPECTED = {
+        "repro-experiment": SHARED | RESILIENCE | {
+            "-h", "--help", "--version", "--output", "--json",
+            "--timings-json", "--stats-json", "--stats-csv", "--trace-out"},
+        "repro run": SHARED | RESILIENCE | {
+            "-h", "--help", "--memory", "--workload", "--check", "--json",
+            "--checkpoint-dir", "--checkpoint-every"},
+        "repro serve": SHARED | {
+            "-h", "--help", "--host", "--port", "--cache-budget",
+            "--manifest-budget", "--state-dir", "--queue-limit", "--retries",
+            "--timeout", "--checkpoint-dir", "--checkpoint-every",
+            "--no-recover", "--verbose"},
+    }
+
+    @pytest.mark.parametrize("make", [build_parser, run_parser, serve_parser])
+    def test_subcommand_inherits_parent_flags(self, make):
+        parser = make()
+        parent = scale_args_parent()
+        assert option_strings(parent) == self.SHARED
+        assert option_strings(parser) == self.EXPECTED[parser.prog]
+        ours = {a.dest: a for a in parser._actions}
+        for action in parent._actions:
+            mine = ours[action.dest]
+            assert (mine.option_strings, mine.type, mine.default,
+                    mine.help) == (action.option_strings, action.type,
+                                   action.default, action.help)
 
 
 class TestMain:

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, RunSpec, run_specs
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentTable,
     ResultCache,
-    run_cached,
 )
 from repro.experiments.power_curves import figure_2
+from repro.experiments.specs import RUNNER_REGISTRY
 from repro.experiments.tables import table_1, table_2
-from repro.sim.config import MemoryKind
 from repro.sim.system import SimResult
 
 
@@ -64,20 +63,20 @@ class TestResultCache:
         cache.put("k", self.make_result())
         assert cache.get("k") is None
 
-    def test_run_cached_uses_cache(self, tmp_path):
+    def test_run_specs_uses_cache(self, tmp_path, monkeypatch):
         config = ExperimentConfig(target_dram_reads=100,
                                   benchmarks=("mcf",),
                                   cache_dir=str(tmp_path))
         calls = []
 
-        def runner():
-            calls.append(1)
+        def runner(spec, config):
+            calls.append(spec)
             return self.make_result()
 
-        a = run_cached("mcf", MemoryKind.DDR3, config, variant="test",
-                       runner=runner)
-        b = run_cached("mcf", MemoryKind.DDR3, config, variant="test",
-                       runner=runner)
+        monkeypatch.setitem(RUNNER_REGISTRY, "test", runner)
+        spec = RunSpec("mcf", "ddr3", variant="test", runner="test")
+        a = run_specs([spec], config, jobs=1)[spec]
+        b = run_specs([spec], config, jobs=1)[spec]
         assert len(calls) == 1
         assert a.elapsed_cycles == b.elapsed_cycles
 

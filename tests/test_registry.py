@@ -25,7 +25,7 @@ from repro.memsys.registry import (
     resolve_name,
     unregister_backend,
 )
-from repro.sim.config import MemoryKind, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.system import run_benchmark
 from repro.util.events import EventQueue
 from repro.workloads.profiles import profile_for
@@ -54,10 +54,6 @@ class TestResolution:
         assert resolve_name("  DDR3 ") == "ddr3"
         assert resolve_name("hmc-cwf") == "hmc_cwf"
 
-    def test_deprecated_enum_accepted(self):
-        assert resolve_name(MemoryKind.RL) == "rl"
-        assert resolve_name(MemoryKind.PAGE_PLACEMENT) == "page_placement"
-
     def test_unknown_name_suggests(self):
         with pytest.raises(UnknownBackendError) as excinfo:
             resolve_name("hmc_cfw")
@@ -69,7 +65,7 @@ class TestResolution:
             resolve_name(42)
 
     def test_runspec_and_simconfig_canonicalise(self):
-        assert RunSpec("mcf", "RL") == RunSpec("mcf", MemoryKind.RL)
+        assert RunSpec("mcf", "RL") == RunSpec("mcf", "rl")
         assert SimConfig(memory="baseline").memory == "ddr3"
         with pytest.raises(UnknownBackendError):
             SimConfig(memory="ddr4")
@@ -164,7 +160,7 @@ class TestCacheKeyVersion:
             check=True).stdout.strip()
         assert remote == local
 
-    def test_enum_and_string_specs_share_keys(self):
+    def test_alias_and_canonical_specs_share_keys(self):
         config = ExperimentConfig(target_dram_reads=100)
-        assert (spec_cache_key(RunSpec("mcf", MemoryKind.RL), config)
-                == spec_cache_key(RunSpec("mcf", "rl"), config))
+        assert (spec_cache_key(RunSpec("mcf", "RLDRAM"), config)
+                == spec_cache_key(RunSpec("mcf", "rldram3"), config))

@@ -7,7 +7,6 @@ from repro.dram.request import DecodedAddress, MemoryRequest, RequestKind
 from repro.dram.scheduler import (
     priority_key,
     select_oldest,
-    select_row_hit,
 )
 from repro.dram.timing import DDR3_TIMING, TimingSet
 from repro.util.events import EventQueue
@@ -77,14 +76,7 @@ class TestSelection:
         a, b = req(arrival=5), req(arrival=3)
         assert select_oldest([a, b]) is b
         assert select_oldest([]) is None
-
-    def test_select_row_hit_filters(self):
-        a, b = req(arrival=5), req(arrival=3)
-        chosen = select_row_hit([a, b], lambda r: r is a)
-        assert chosen is a
-
-    def test_select_row_hit_prefers_demand(self):
+        # An older prefetch still ranks behind a demand.
         prefetch = req(arrival=0, is_prefetch=True)
         demand = req(arrival=100)
-        chosen = select_row_hit([prefetch, demand], lambda r: True)
-        assert chosen is demand
+        assert select_oldest([prefetch, demand]) is demand

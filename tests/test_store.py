@@ -27,7 +27,6 @@ import json
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -191,6 +190,29 @@ class TestArtifactStore:
         assert store.index_path("key").name == f"{legacy}.json"
         assert key_digest("key") == legacy
 
+    def test_stored_bytes_do_not_depend_on_wall_clock(self, tmp_path,
+                                                      monkeypatch):
+        """Identical puts made at different times occupy identical
+        bytes: no index record carries a timestamp."""
+        sizes = []
+        for now in (1.5, 1234567890.123456):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            store = ArtifactStore(tmp_path / str(now))
+            for i in range(3):
+                store.put_bytes(f"key-{i}", f"payload-{i}".encode())
+            sizes.append(store.stats()["bytes"])
+        assert sizes[0] == sizes[1]
+
+    def test_timestamped_index_record_still_parses(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        digest = store.put_bytes("key", b"data")
+        path = store.index_path("key")
+        record = json.loads(path.read_text())
+        record["created_unix"] = 1234567890.5
+        path.write_text(json.dumps(record))
+        assert store.get_bytes("key") == b"data"
+        assert [e.digest for e in store.entries()] == [digest]
+
 
 class TestEviction:
     """Fill a 1 MiB-budget store past capacity; check LRU discipline."""
@@ -333,41 +355,27 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# ResultCache on the store: migration, budget, recompute determinism
+# ResultCache on the store: flat layout, budget, recompute determinism
 # ---------------------------------------------------------------------------
 
 
-class TestResultCacheMigration:
-    def test_legacy_flat_entry_resolves_and_migrates(self, tmp_path):
-        result = make_result(cycles=77)
-        data = dataclasses.asdict(result)
+class TestResultCacheFlatLayout:
+    def test_flat_entry_is_a_plain_miss(self, tmp_path):
+        """A file in the pre-store flat layout (``<keydigest>.json`` at
+        the cache root) is not read, moved or quarantined."""
+        data = dataclasses.asdict(make_result(cycles=77))
         data["__key__"] = "old-key"
-        legacy = tmp_path / f"{key_digest('old-key')}.json"
-        legacy.write_text(json.dumps(data))
+        flat = tmp_path / f"{key_digest('old-key')}.json"
+        flat.write_text(json.dumps(data))
+        before = flat.read_bytes()
 
         cache = ResultCache(str(tmp_path))
-        recalled = cache.get("old-key")
-        assert recalled is not None and recalled.elapsed_cycles == 77
-        # A hit, not a recompute.
-        assert cache.registry.counts()["cache.hits"] == 1
-        assert not legacy.exists()  # retired into the store
-        assert cache.store.contains("old-key")
-        # Second read comes straight from the CAS.
-        assert cache.get("old-key").elapsed_cycles == 77
-
-    def test_corrupt_legacy_entry_is_quarantined(self, tmp_path):
-        legacy = tmp_path / f"{key_digest('key')}.json"
-        legacy.write_text("{torn")
-        cache = ResultCache(str(tmp_path))
-        assert cache.get("key") is None
-        assert cache.registry.counts()["cache.quarantined"] == 1
-        assert legacy.with_name(legacy.name + ".corrupt").exists()
-
-    def test_contains_sees_legacy_entries(self, tmp_path):
-        legacy = tmp_path / f"{key_digest('key')}.json"
-        legacy.write_text("{}")
-        cache = ResultCache(str(tmp_path))
-        assert cache.contains("key")
+        assert not cache.contains("old-key")
+        assert cache.get("old-key") is None
+        counts = cache.registry.counts()
+        assert (counts["cache.misses"], counts["cache.hits"],
+                counts["cache.quarantined"]) == (1, 0, 0)
+        assert flat.read_bytes() == before
 
 
 class TestBudgetedRecompute:
